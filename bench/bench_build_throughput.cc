@@ -18,7 +18,6 @@
 //
 // Flags:
 //   --programs=N          replicated BTPs per workload (default 1024)
-//   --threads=T           also time the interned build with a T-worker pool
 //   --json-out=PATH       where to write the JSON record (default
 //                         BENCH_build_throughput.json; "-" disables)
 //   --require-speedup=X   exit 1 unless the interned build is >= X times
@@ -44,7 +43,6 @@
 #include "summary/statement_interner.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/tpcc.h"
 
@@ -53,7 +51,6 @@ namespace {
 
 struct Options {
   int programs = 1024;
-  int threads = 1;
   std::string json_out = "BENCH_build_throughput.json";
   double require_speedup = 0.0;
   bool skip_tpcc = false;
@@ -103,8 +100,7 @@ struct WorkloadTotals {
 };
 
 bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num_programs,
-                  const AnalysisSettings& settings, const Options& options, Json& records,
-                  WorkloadTotals& totals) {
+                  const AnalysisSettings& settings, Json& records, WorkloadTotals& totals) {
   // Warm-up build: first-touch page faults and allocator growth are paid
   // here, so the timed runs below compare the builders, not the kernel's
   // page allocator (mirrors the masked-sweep bench's warm-up convention).
@@ -125,18 +121,6 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
     Stopwatch timer;
     SummaryGraph again = BuildSummaryGraph(ltps, settings);
     interned_seconds = std::min(interned_seconds, timer.ElapsedSeconds());
-  }
-
-  double threaded_seconds = 0;
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    Stopwatch threaded_timer;
-    SummaryGraph threaded = BuildSummaryGraph(ltps, settings, &pool);
-    threaded_seconds = threaded_timer.ElapsedSeconds();
-    if (!SameGraph(threaded, interned)) {
-      std::printf("FAIL: threaded interned build differs from serial\n");
-      return false;
-    }
   }
 
   double legacy_seconds = 0;
@@ -176,9 +160,6 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
       "  speedup:  %.1fx\n",
       interned_seconds, edges / interned_seconds, legacy_seconds, edges / legacy_seconds,
       legacy_seconds / interned_seconds);
-  if (options.threads > 1) {
-    std::printf("  threaded (%d workers): %.4fs\n", options.threads, threaded_seconds);
-  }
 
   Json record = Json::Object();
   record.Set("workload", Json::Str(name));
@@ -193,11 +174,6 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
   record.Set("legacy_seconds", Json::Number(legacy_seconds));
   record.Set("legacy_edges_per_sec", Json::Number(edges / legacy_seconds));
   record.Set("speedup", Json::Number(speedup));
-  if (options.threads > 1) {
-    record.Set("threads", Json::Int(options.threads));
-    record.Set("threaded_seconds", Json::Number(threaded_seconds));
-    record.Set("threaded_edges_per_sec", Json::Number(edges / threaded_seconds));
-  }
   records.Append(std::move(record));
   return true;
 }
@@ -215,8 +191,7 @@ bool BenchWorkload(const Workload& workload, const Options& options, Json& recor
   std::vector<Ltp> ltps = ReplicateLtps(workload, options.programs);
   WorkloadTotals workload_totals;
   for (const AnalysisSettings& settings : kAllSettings) {
-    if (!BenchSetting(name, ltps, options.programs, settings, options, records,
-                      workload_totals)) {
+    if (!BenchSetting(name, ltps, options.programs, settings, records, workload_totals)) {
       return false;
     }
   }
@@ -252,7 +227,7 @@ int Run(const Options& options) {
 
   doc.Set("workloads", std::move(records));
   doc.Set("overall_speedup", Json::Number(speedup));
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -271,8 +246,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--programs=", 0) == 0) {
       options.programs = std::atoi(arg.c_str() + 11);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(11);
     } else if (arg.rfind("--require-speedup=", 0) == 0) {
@@ -281,7 +254,7 @@ int main(int argc, char** argv) {
       options.skip_tpcc = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--programs=N] [--threads=T] [--json-out=PATH|-] "
+                   "usage: %s [--programs=N] [--json-out=PATH|-] "
                    "[--require-speedup=X] [--skip-tpcc]\n",
                    argv[0]);
       return 2;

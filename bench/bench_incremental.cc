@@ -64,7 +64,7 @@ RunResult RunScratch(const std::vector<Btp>& mutated_programs,
   hooks.store = [&result](uint32_t, bool) { ++result.detector_runs; };
   Stopwatch watch;
   Result<SubsetReport> report =
-      TryAnalyzeSubsets(mutated_programs, settings, Method::kTypeII, nullptr, &hooks);
+      TryAnalyzeSubsets(mutated_programs, settings, Method::kTypeII, &hooks);
   result.millis = watch.ElapsedMillis();
   if (!report.ok()) {
     std::fprintf(stderr, "scratch sweep failed: %s\n", report.error().c_str());

@@ -20,9 +20,8 @@
 //      counterflow edges (non-counterflow generation is
 //      isolation-independent).
 //
-// With --threads=T the cells themselves fan across one T-worker pool (each
-// cell runs its build and sweep serially inside its worker — the pool does
-// not nest); gates and output are evaluated after the barrier in the fixed
+// With --threads=T the cells fan across one T-worker pool (each cell runs
+// its build and sweep serially inside its worker); gates and output are evaluated after the barrier in the fixed
 // cell order, so every verdict, lattice, and printed line is identical at
 // any thread count (only the timing fields vary).
 //
@@ -75,10 +74,8 @@ struct CellResult {
 };
 
 // One (workload, settings, policy) cell, fully self-contained so cells can
-// run concurrently on pool workers: `inner_pool` must be null when the cell
-// itself runs on a worker (the pool does not nest).
-CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
-                   ThreadPool* inner_pool) {
+// run concurrently on pool workers.
+CellResult RunCell(const Workload& workload, const AnalysisSettings& settings) {
   CellResult cell;
   Stopwatch timer;
   // One graph build serves both the full-set verdict and the subset sweep
@@ -91,17 +88,14 @@ CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
                          static_cast<int>(all_ltps.size() + unfolded.size())});
     for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
   }
-  SummaryGraph graph =
-      BuildSummaryGraph(std::move(all_ltps), settings,
-                        inner_pool != nullptr && inner_pool->num_threads() > 1 ? inner_pool
-                                                                               : nullptr);
+  SummaryGraph graph = BuildSummaryGraph(std::move(all_ltps), settings);
   cell.num_edges = graph.num_edges();
   cell.num_counterflow_edges = graph.num_counterflow_edges();
   cell.robust = RunCycleTest(graph, Method::kTypeII, settings.policy()).robust;
   const int n = static_cast<int>(workload.programs.size());
   if (SubsetProgramCountOk(n)) {
-    Result<SubsetReport> report = AnalyzeSubsetsOnGraph(graph, ltp_range, Method::kTypeII,
-                                                        inner_pool, nullptr, settings.policy());
+    Result<SubsetReport> report =
+        AnalyzeSubsetsOnGraph(graph, ltp_range, Method::kTypeII, nullptr, settings.policy());
     if (report.ok()) {
       cell.robust_masks = report.value().robust_masks;
       cell.swept = true;
@@ -112,7 +106,7 @@ CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
     MaskedDetector detector(graph, ltp_range, settings.policy());
     CoreSearchStats stats;
     Result<SubsetReport> report =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, inner_pool, nullptr, &stats);
+        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &stats);
     if (report.ok()) {
       cell.cores = std::move(report.value().cores);
       cell.maximal_sets = std::move(report.value().maximal_sets);
@@ -236,8 +230,7 @@ int Run(const Options& options) {
 
   // Flatten the matrix into independent cell jobs — (workload, setting,
   // policy) triples — and fan them across the pool; each cell runs serially
-  // inside its worker (null inner pool: no nesting). Without a pool the same
-  // jobs run inline, with the pool reused inside each cell instead.
+  // inside its worker. Without a pool the same jobs run inline.
   const std::vector<Workload> workloads = {MakeSmallBank(), MakeTpcc(), MakeAuction(),
                                            MakeIsolationDemo(), MakeAuctionN(24)};
   const AnalysisSettings bases[] = {
@@ -262,12 +255,10 @@ int Run(const Options& options) {
   Stopwatch wall;
   if (pool != nullptr) {
     pool->ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t j) {
-      cells[j] = RunCell(*jobs[j].workload, jobs[j].settings, nullptr);
+      cells[j] = RunCell(*jobs[j].workload, jobs[j].settings);
     });
   } else {
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      cells[j] = RunCell(*jobs[j].workload, jobs[j].settings, nullptr);
-    }
+    for (size_t j = 0; j < jobs.size(); ++j) cells[j] = RunCell(*jobs[j].workload, jobs[j].settings);
   }
   const double wall_seconds = wall.ElapsedSeconds();
 

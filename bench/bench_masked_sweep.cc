@@ -13,7 +13,6 @@
 //
 // Flags:
 //   --pairs=N             Auction(N) size, 2N programs (default 8 -> 16)
-//   --threads=T           also time the masked sweep with a T-worker pool
 //   --json-out=PATH       where to write the JSON record (default
 //                         BENCH_masked_sweep.json; "-" disables the file)
 //   --require-speedup=X   exit 1 unless masked is >= X times faster than
@@ -44,7 +43,6 @@
 #include "summary/build_summary.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/tpcc.h"
 
@@ -88,7 +86,6 @@ namespace {
 
 struct Options {
   int pairs = 8;
-  int threads = 1;
   std::string json_out = "BENCH_masked_sweep.json";
   double require_speedup = 0.0;
   bool skip_tpcc = false;
@@ -162,8 +159,7 @@ struct WorkloadTotals {
 
 // Returns false on any correctness failure (report mismatch / allocation in
 // the hot path); appends one JSON record per (workload, settings).
-bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& records,
-                  WorkloadTotals& totals) {
+bool BenchSetting(const PreparedWorkload& w, Json& records, WorkloadTotals& totals) {
   const uint32_t num_masks = (uint32_t{1} << w.num_programs) - 1;
   std::printf("%s / %s: %d programs, %d LTPs, %d edges, %u masks\n", w.name.c_str(),
               w.settings_name.c_str(), w.num_programs, w.graph.num_programs(),
@@ -178,20 +174,6 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
   if (!masked.ok()) {
     std::printf("FAIL: masked sweep errored: %s\n", masked.error().c_str());
     return false;
-  }
-
-  // Optional threaded masked sweep.
-  double threaded_seconds = 0;
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    Stopwatch threaded_timer;
-    Result<SubsetReport> threaded =
-        AnalyzeSubsetsOnGraph(w.graph, w.ltp_range, Method::kTypeII, &pool);
-    threaded_seconds = threaded_timer.ElapsedSeconds();
-    if (!threaded.ok() || threaded.value().robust_masks != masked.value().robust_masks) {
-      std::printf("FAIL: threaded masked sweep differs from serial\n");
-      return false;
-    }
   }
 
   // Oracle sweep + report gate.
@@ -232,9 +214,6 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
       masked_seconds, num_masks / masked_seconds,
       static_cast<double>(masked_allocs) / num_masks, oracle_seconds,
       num_masks / oracle_seconds, speedup);
-  if (options.threads > 1) {
-    std::printf("  threaded (%d workers): %.4fs\n", options.threads, threaded_seconds);
-  }
 
   Json record = Json::Object();
   record.Set("workload", Json::Str(w.name));
@@ -251,20 +230,18 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
   record.Set("oracle_seconds", Json::Number(oracle_seconds));
   record.Set("oracle_masks_per_sec", Json::Number(num_masks / oracle_seconds));
   record.Set("speedup", Json::Number(speedup));
-  if (options.threads > 1) {
-    record.Set("threads", Json::Int(options.threads));
-    record.Set("threaded_seconds", Json::Number(threaded_seconds));
-    record.Set("threaded_masks_per_sec", Json::Number(num_masks / threaded_seconds));
-  }
   records.Append(std::move(record));
   return true;
 }
 
 // Metrics-overhead gate: times the same per-mask IsRobust hot loop with the
-// instrumentation kill switch off (baseline) and on (instrumented), min of
-// several repeats over a calibrated window so the comparison sits well above
-// timer and scheduler noise. Records both timings plus the relative overhead
-// in `doc`; fails only when --max-overhead is set and exceeded.
+// instrumentation kill switch off (baseline) and on (instrumented), over a
+// calibrated window so the comparison sits well above timer noise. The two
+// sides run as interleaved pairs, alternating which goes first, and the
+// minimum of each side is compared — a host slowdown during the run then
+// hits both sides alike instead of whichever ran second. Records both
+// timings plus the relative overhead in `doc`; fails only when
+// --max-overhead is set and exceeded.
 //
 // Measured under tuple dep — the setting whose queries pay a real cycle
 // test (~hundreds of ns), which is what the sweep's wall clock is made of.
@@ -297,16 +274,20 @@ bool BenchOverhead(const Options& options, Json& doc) {
 
   auto timed = [&](bool enabled) {
     SetMetricsEnabled(enabled);
-    double best = 1e100;
-    for (int repeat = 0; repeat < 5; ++repeat) {
-      Stopwatch timer;
-      for (int r = 0; r < reps; ++r) sweep_once();
-      best = std::min(best, timer.ElapsedSeconds());
-    }
-    return best;
+    Stopwatch timer;
+    for (int r = 0; r < reps; ++r) sweep_once();
+    return timer.ElapsedSeconds();
   };
-  const double baseline_seconds = timed(false);
-  const double instrumented_seconds = timed(true);
+  constexpr int kPairs = 7;
+  double baseline_seconds = 1e100;
+  double instrumented_seconds = 1e100;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool baseline_first = pair % 2 == 0;
+    for (bool enabled : {!baseline_first, baseline_first}) {
+      double& best = enabled ? instrumented_seconds : baseline_seconds;
+      best = std::min(best, timed(enabled));
+    }
+  }
   SetMetricsEnabled(true);
   const double overhead =
       baseline_seconds > 0 ? instrumented_seconds / baseline_seconds - 1.0 : 0.0;
@@ -338,7 +319,7 @@ const AnalysisSettings kAllSettings[] = {
 bool BenchWorkload(const Workload& workload, const Options& options, Json& records) {
   WorkloadTotals totals;
   for (const AnalysisSettings& settings : kAllSettings) {
-    if (!BenchSetting(Prepare(workload, settings), options, records, totals)) return false;
+    if (!BenchSetting(Prepare(workload, settings), records, totals)) return false;
   }
   const double speedup =
       totals.masked_seconds > 0 ? totals.oracle_seconds / totals.masked_seconds : 0;
@@ -364,7 +345,7 @@ int Run(const Options& options) {
 
   doc.Set("workloads", std::move(records));
   ok = BenchOverhead(options, doc) && ok;
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -376,8 +357,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--pairs=", 0) == 0) {
       options.pairs = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(11);
     } else if (arg.rfind("--require-speedup=", 0) == 0) {
@@ -388,7 +367,7 @@ int main(int argc, char** argv) {
       options.max_overhead = std::atof(arg.c_str() + 15);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--pairs=N] [--threads=T] [--json-out=PATH|-] "
+                   "usage: %s [--pairs=N] [--json-out=PATH|-] "
                    "[--require-speedup=X] [--skip-tpcc] [--max-overhead=X]\n",
                    argv[0]);
       return 2;

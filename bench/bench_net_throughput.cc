@@ -148,7 +148,7 @@ struct Options {
 };
 
 int RunBench(const Options& options) {
-  SessionManager manager(1);
+  SessionManager manager;
   RequestDispatcher dispatcher(manager, ProtocolOptions(), size_t{1} << 20);
   NetServer::Options server_options;
   server_options.port = 0;
@@ -203,7 +203,7 @@ int RunBench(const Options& options) {
   // equality modulo timing.
   size_t divergences = 0;
   {
-    SessionManager reference_manager(1);
+    SessionManager reference_manager;
     RequestDispatcher reference(reference_manager, ProtocolOptions(), size_t{1} << 20);
     for (int i = 0; i < options.clients; ++i) {
       const std::vector<std::string> requests = ClientRequests(i, options.rounds);

@@ -9,18 +9,14 @@
 
 namespace mvrc {
 
-namespace {
-
 // Per-mask queries have a nanosecond budget and a zero-allocation contract
-// (bench_masked_sweep enforces it), so instrumentation here is exactly one
-// striped counter bump — the pointer resolves during the first (warm-up)
-// query, never on the steady-state path.
-void CountMaskedQuery() {
+// (bench_masked_sweep enforces both), so the count is kept in the scratch and
+// reaches the shared counter once per scratch.
+QueryTally::~QueryTally() {
+  if (count_ == 0) return;
   static Counter* queries = MetricsRegistry::Global().counter("detector.masked_queries");
-  queries->Add(1);
+  queries->Add(count_);
 }
-
-}  // namespace
 
 MaskedDetector::MaskedDetector(const SummaryGraph& graph,
                                std::vector<std::pair<int, int>> ltp_range,
@@ -88,7 +84,7 @@ void MaskedDetector::BeginQuery(uint32_t mask, DetectorScratch& scratch) const {
                  "overloads for wider workloads");
   MVRC_CHECK(static_cast<int>(scratch.reach_done.size()) == num_ltps_ &&
              static_cast<int>(scratch.active.size()) == words_);
-  CountMaskedQuery();
+  scratch.queries.Increment();
   std::fill(scratch.active.begin(), scratch.active.end(), 0);
   for (size_t i = 0; i < ltp_range_.size(); ++i) {
     if ((mask >> i) & 1) {
@@ -105,7 +101,7 @@ void MaskedDetector::BeginQuery(const ProgramSet& mask, DetectorScratch& scratch
   MVRC_CHECK(mask.num_programs() == num_programs());
   MVRC_CHECK(static_cast<int>(scratch.reach_done.size()) == num_ltps_ &&
              static_cast<int>(scratch.active.size()) == words_);
-  CountMaskedQuery();
+  scratch.queries.Increment();
   std::fill(scratch.active.begin(), scratch.active.end(), 0);
   for (size_t i = 0; i < ltp_range_.size(); ++i) {
     if (mask.Test(static_cast<int>(i))) {

@@ -45,9 +45,7 @@
 // parity), so callers may mix them freely against one detector.
 //
 // Thread safety: a MaskedDetector is immutable after construction and may
-// be shared across threads; each thread needs its own DetectorScratch
-// (SweepParallel keeps one per ThreadPool worker slot, and the core-guided
-// search one per worker for its candidate and shrink fan-outs).
+// be shared across threads; each thread needs its own DetectorScratch.
 
 #ifndef MVRC_ROBUST_MASKED_DETECTOR_H_
 #define MVRC_ROBUST_MASKED_DETECTOR_H_
@@ -63,6 +61,25 @@
 
 namespace mvrc {
 
+/// The queries run against one DetectorScratch, added to the
+/// detector.masked_queries counter when the scratch is destroyed: the
+/// per-mask hot path pays one plain increment instead of an atomic one.
+class QueryTally {
+ public:
+  QueryTally() = default;
+  QueryTally(QueryTally&& other) noexcept : count_(std::exchange(other.count_, 0)) {}
+  QueryTally& operator=(QueryTally&& other) noexcept {
+    std::swap(count_, other.count_);  // `other` reports the old count
+    return *this;
+  }
+  ~QueryTally();
+
+  void Increment() { ++count_; }
+
+ private:
+  int64_t count_ = 0;
+};
+
 /// Reusable per-thread workspace for MaskedDetector queries. All buffers are
 /// sized by MaskedDetector::MakeScratch and reused across masks; queries
 /// never grow them. Treat the contents as private to MaskedDetector.
@@ -75,6 +92,7 @@ struct DetectorScratch {
   std::vector<uint64_t> nc_reach;   // nc-successors of a reachable set, 1 row
   std::vector<uint64_t> pair_srcs;  // masked valid e3 sources, 1 row
   std::vector<int> bfs_parent;      // witness path reconstruction, n entries
+  QueryTally queries;
 };
 
 /// Answers per-subset robustness queries against one summary graph without

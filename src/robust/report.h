@@ -53,11 +53,8 @@ struct WorkloadReport {
 /// the workload has at most kMaxCoreSearchPrograms programs) also computes
 /// the maximal robust subsets under attr dep + FK — by exhaustive sweep
 /// through kMaxSubsetPrograms programs, by the core-guided search
-/// (robust/core_search.h) above. `num_threads` parallelizes graph
-/// construction and the subset analysis (1 = serial, < 1 = hardware
-/// concurrency); it never changes the report's contents.
+/// (robust/core_search.h) above.
 WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
-                           int num_threads = 1,
                            IsolationLevel isolation = IsolationLevel::kMvrc);
 
 }  // namespace mvrc

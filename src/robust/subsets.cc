@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "summary/build_summary.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
@@ -131,13 +129,13 @@ void Store(const SubsetSweepHooks* hooks, uint32_t mask, bool robust) {
   if (hooks != nullptr && hooks->store) hooks->store(mask, robust);
 }
 
-// The serial sweep: masks in decreasing popcount order, Proposition 5.2
+// The sweep: masks in decreasing popcount order, Proposition 5.2
 // pruning applied as soon as a mask is found robust. Per-mask verdicts come
 // from the MaskedDetector against one reused scratch — no graph copies, no
 // per-mask allocation. robust_masks is sorted by the caller, so push order
 // does not matter.
-void SweepSerial(const MaskedDetector& detector, Method method, int n,
-                 const SubsetSweepHooks* hooks, SubsetReport& report) {
+void Sweep(const MaskedDetector& detector, Method method, int n, const SubsetSweepHooks* hooks,
+           SubsetReport& report) {
   const uint32_t full = (uint32_t{1} << n) - 1;
   std::vector<char> known_robust(full + 1, 0);
   std::vector<uint32_t> order;
@@ -164,70 +162,6 @@ void SweepSerial(const MaskedDetector& detector, Method method, int n,
   }
 }
 
-// Level-synchronous parallel sweep. Masks within one popcount level are
-// never subsets of one another, so Proposition 5.2 pruning only ever flows
-// from a level to strictly lower levels: the level's unknown masks are
-// independent and fan out across the pool, and the shared known_robust
-// bitmap is merged serially at the level barrier. This visits exactly the
-// masks the serial sweep runs the detector on, so the resulting report is
-// identical. Hooks are consulted and fed only in the serial sections
-// between fan-outs. Each ThreadPool worker slot owns one DetectorScratch
-// for the whole sweep, so the fan-out performs no per-mask allocation
-// either.
-void SweepParallel(const MaskedDetector& detector, Method method, int n, ThreadPool& pool,
-                   const SubsetSweepHooks* hooks, SubsetReport& report) {
-  const uint32_t full = (uint32_t{1} << n) - 1;
-  std::vector<char> known_robust(full + 1, 0);
-  std::vector<std::vector<uint32_t>> levels(n + 1);
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    levels[__builtin_popcount(mask)].push_back(mask);
-  }
-
-  std::vector<DetectorScratch> scratches;
-  scratches.reserve(pool.num_threads());
-  for (int t = 0; t < pool.num_threads(); ++t) scratches.push_back(detector.MakeScratch());
-
-  for (int level = n; level >= 1; --level) {
-    std::vector<uint32_t> todo;
-    for (uint32_t mask : levels[level]) {
-      if (known_robust[mask]) {
-        report.robust_masks.push_back(mask);
-        continue;
-      }
-      std::optional<bool> cached = Lookup(hooks, mask);
-      if (cached.has_value()) {
-        if (*cached) {
-          for (uint32_t sub = mask; sub != 0; sub = (sub - 1) & mask) known_robust[sub] = 1;
-          report.robust_masks.push_back(mask);
-        }
-        continue;
-      }
-      todo.push_back(mask);
-    }
-    std::vector<char> robust(todo.size(), 0);
-    // Grain-chunked fan-out: one dispatch per block of masks instead of per
-    // mask (levels can hold 100k+ masks, each a microsecond-scale detector
-    // call). Capped so a handful of unusually slow masks cannot serialize a
-    // whole block's worth of work on one worker.
-    const int64_t grain = std::min<int64_t>(
-        ThreadPool::DefaultGrain(static_cast<int64_t>(todo.size()), pool.num_threads()), 256);
-    pool.ParallelForWorkersChunked(
-        static_cast<int64_t>(todo.size()), grain, [&](int worker, int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) {
-            robust[t] = detector.IsRobust(todo[t], method, scratches[worker]) ? 1 : 0;
-          }
-        });
-    // Level barrier: merge verdicts into the shared bitmap before the next
-    // (lower-popcount) level consults it.
-    for (size_t t = 0; t < todo.size(); ++t) {
-      Store(hooks, todo[t], robust[t] != 0);
-      if (!robust[t]) continue;
-      for (uint32_t sub = todo[t]; sub != 0; sub = (sub - 1) & todo[t]) known_robust[sub] = 1;
-      report.robust_masks.push_back(todo[t]);
-    }
-  }
-}
-
 // The shared 1..kMaxSubsetPrograms bounds check; nullopt when `n` is fine.
 std::optional<Result<SubsetReport>> CheckProgramCount(int n) {
   if (SubsetProgramCountOk(n)) return std::nullopt;
@@ -242,21 +176,17 @@ std::optional<Result<SubsetReport>> CheckProgramCount(int n) {
       " programs), which the analysis service and `mvrcdet --subsets` select automatically");
 }
 
-Result<SubsetReport> SweepDetector(const MaskedDetector& detector, Method method,
-                                   ThreadPool* pool, const SubsetSweepHooks* hooks) {
+}  // namespace
+
+Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector, Method method,
+                                              const SubsetSweepHooks* hooks) {
   const int n = detector.num_programs();
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
   TraceSpan span("robust/sweep", "programs=" + std::to_string(n));
   Stopwatch timer;
   SubsetReport report;
   report.num_programs = n;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    report.num_threads = pool->num_threads();
-    SweepParallel(detector, method, n, *pool, hooks, report);
-  } else {
-    report.num_threads = 1;
-    SweepSerial(detector, method, n, hooks, report);
-  }
+  Sweep(detector, method, n, hooks, report);
   std::sort(report.robust_masks.begin(), report.robust_masks.end());
   ComputeMaximalMasks(report);
   static Counter* sweeps = MetricsRegistry::Global().counter("robust.sweeps");
@@ -269,28 +199,19 @@ Result<SubsetReport> SweepDetector(const MaskedDetector& detector, Method method
   return report;
 }
 
-}  // namespace
-
-Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector, Method method,
-                                              ThreadPool* pool,
-                                              const SubsetSweepHooks* hooks) {
-  return SweepDetector(detector, method, pool, hooks);
-}
-
 Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
                                            const std::vector<std::pair<int, int>>& ltp_range,
-                                           Method method, ThreadPool* pool,
-                                           const SubsetSweepHooks* hooks,
+                                           Method method, const SubsetSweepHooks* hooks,
                                            const IsolationPolicy& policy) {
   const int n = static_cast<int>(ltp_range.size());
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
   MaskedDetector detector(full_graph, ltp_range, policy);
-  return SweepDetector(detector, method, pool, hooks);
+  return AnalyzeSubsetsOnDetector(detector, method, hooks);
 }
 
 Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
                                        const AnalysisSettings& settings, Method method,
-                                       ThreadPool* pool, const SubsetSweepHooks* hooks) {
+                                       const SubsetSweepHooks* hooks) {
   const int n = static_cast<int>(programs.size());
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
 
@@ -307,17 +228,8 @@ Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
                     std::make_move_iterator(unfolded.end()));
   }
 
-  // A caller-provided pool wins; otherwise fall back to the old behavior of
-  // constructing one per call when settings.num_threads != 1.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && settings.num_threads != 1) {
-    owned_pool = std::make_unique<ThreadPool>(ThreadPool::ResolveThreadCount(settings.num_threads));
-    pool = owned_pool.get();
-  }
-  SummaryGraph full_graph =
-      BuildSummaryGraph(std::move(all_ltps), settings,
-                        pool != nullptr && pool->num_threads() > 1 ? pool : nullptr);
-  return AnalyzeSubsetsOnGraph(full_graph, ltp_range, method, pool, hooks, settings.policy());
+  SummaryGraph full_graph = BuildSummaryGraph(std::move(all_ltps), settings);
+  return AnalyzeSubsetsOnGraph(full_graph, ltp_range, method, hooks, settings.policy());
 }
 
 SubsetReport AnalyzeSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,

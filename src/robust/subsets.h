@@ -19,6 +19,7 @@
 #ifndef MVRC_ROBUST_SUBSETS_H_
 #define MVRC_ROBUST_SUBSETS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -35,7 +36,6 @@
 namespace mvrc {
 
 class MaskedDetector;
-class ThreadPool;
 
 /// Hard bound on the number of programs the *exhaustive* subset sweep
 /// accepts. Subsets are encoded as bits of a `uint32_t` mask (program i <->
@@ -75,7 +75,6 @@ constexpr bool SubsetProgramCountOk(int n) { return n >= 1 && n <= kMaxSubsetPro
 ///     comparable on workloads both accept.
 struct SubsetReport {
   int num_programs = 0;
-  int num_threads = 1;                  // worker threads the sweep ran with
   std::vector<uint32_t> robust_masks;   // every robust subset, as a bitmask
   std::vector<uint32_t> maximal_masks;  // robust subsets maximal under inclusion
 
@@ -108,28 +107,25 @@ struct SubsetReport {
   std::vector<std::string> DescribeCores(const std::vector<std::string>& names) const;
 };
 
-/// Optional memoization hooks for the sweep, used by the incremental
-/// analysis service (src/service/) to reuse verdicts across workload
-/// mutations. `lookup(mask)` is consulted before the detector runs on a mask
-/// the Proposition 5.2 pruning left undecided; a returned value is taken as
-/// the verdict and the detector is skipped. `store(mask, robust)` is called
-/// exactly once for every mask the detector actually evaluated. Hooks never
-/// change the report (assuming `lookup` returns correct verdicts): they only
-/// shortcut detector invocations. The narrow (uint32_t) callbacks are
-/// invoked from the calling thread only, never from pool workers.
+/// Optional memoization hooks, used by the incremental analysis service
+/// (src/service/) to reuse verdicts across workload mutations. Hooks never
+/// change the report (assuming lookups return correct verdicts): they only
+/// shortcut detector invocations.
+///
+/// The narrow (uint32_t) pair is the exhaustive sweep's: `lookup(mask)` is
+/// consulted before the detector runs on a mask the Proposition 5.2 pruning
+/// left undecided, and a returned value is taken as the verdict;
+/// `store(mask, robust)` is called exactly once for every mask the detector
+/// actually evaluated.
 ///
 /// The wide pair is the core-guided search's currency (core_search.h): when
 /// both wide callbacks are set, every IsRobust evaluation of the search —
-/// candidate tests, chunk probes, greedy shrink tests — consults
-/// `wide_lookup` first and feeds `wide_store` with what the detector
-/// decided, for any program count the search accepts. Unlike the narrow
-/// pair, the wide callbacks ARE invoked from pool workers concurrently, so
-/// they must be thread-safe (the service backs them with the internally
-/// synchronized VerdictCache); and a cached non-robust verdict is trusted
+/// candidate tests and greedy shrink tests — consults `wide_lookup` first
+/// and feeds `wide_store` with what the detector decided, for any program
+/// count the search accepts. A cached non-robust verdict is trusted
 /// outright — the search extracts a witness from the subset without
 /// re-verifying, so an incorrect `wide_lookup` aborts rather than
-/// mis-reporting. When the wide pair is set the narrow pair is ignored by
-/// the core-guided search.
+/// mis-reporting.
 struct SubsetSweepHooks {
   std::function<std::optional<bool>(uint32_t)> lookup;
   std::function<void(uint32_t, bool)> store;
@@ -142,26 +138,14 @@ struct SubsetSweepHooks {
 /// an error). Exploits Proposition 5.2 (robustness is closed under subsets):
 /// subsets of a known robust set are marked robust without re-running the
 /// detector.
-///
-/// With settings.num_threads != 1 the sweep runs level-synchronously in
-/// decreasing popcount order, fanning each level's unknown masks across a
-/// thread pool (masks within a level are independent; pruning is merged at
-/// the level barrier). The report is identical to the serial sweep's, which
-/// settings.num_threads == 1 (the default) selects unchanged.
 SubsetReport AnalyzeSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                             Method method);
 
 /// Same analysis with an error path instead of a CHECK for oversized
 /// workloads (n outside [1, kMaxSubsetPrograms]) — the analysis service must
-/// reject bad requests without aborting the process. When `pool` is non-null
-/// it is reused for graph construction and the sweep instead of constructing
-/// a pool per call (the service shares one pool across all requests), and
-/// its thread count overrides settings.num_threads; a null `pool` falls back
-/// to the old behavior (settings.num_threads decides, and a pool is created
-/// per call when it is != 1).
+/// reject bad requests without aborting the process.
 Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
                                        const AnalysisSettings& settings, Method method,
-                                       ThreadPool* pool = nullptr,
                                        const SubsetSweepHooks* hooks = nullptr);
 
 /// The sweep alone, on a caller-provided summary graph over the full program
@@ -175,7 +159,7 @@ Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
 /// AnalyzeSubsets computes for the same program set.
 Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
                                            const std::vector<std::pair<int, int>>& ltp_range,
-                                           Method method, ThreadPool* pool = nullptr,
+                                           Method method,
                                            const SubsetSweepHooks* hooks = nullptr,
                                            const IsolationPolicy& policy =
                                                GetPolicy(IsolationLevel::kMvrc));
@@ -188,8 +172,16 @@ Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
 /// detector alongside it and amortize the precomputation too. The report is
 /// identical to AnalyzeSubsets over the same program set.
 Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector, Method method,
-                                              ThreadPool* pool = nullptr,
                                               const SubsetSweepHooks* hooks = nullptr);
+
+/// The same sweep, with a null third argument ahead of the hooks. Exists
+/// only for perfbench/trace_replay.cc, which is frozen with the benchmark
+/// and still passes the removed worker-pool argument as nullptr.
+inline Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector,
+                                                     Method method, std::nullptr_t,
+                                                     const SubsetSweepHooks* hooks) {
+  return AnalyzeSubsetsOnDetector(detector, method, hooks);
+}
 
 }  // namespace mvrc
 

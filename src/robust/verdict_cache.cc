@@ -17,6 +17,15 @@ uint64_t HashBytes(const std::string& bytes, uint64_t seed) {
   return MixBits64(h);
 }
 
+// Folds one member hash into both accumulator chains. The two chains are
+// structurally different over the same member hashes: both are
+// order-sensitive (ascending member order is fixed), and an accidental
+// collision must break both simultaneously.
+void Absorb(WideFingerprint& fp, uint64_t member) {
+  fp.hi = MixBits64(fp.hi ^ member);
+  fp.lo = MixBits64(fp.lo + (member | 1) * 0xff51afd7ed558ccdULL);
+}
+
 }  // namespace
 
 WideFingerprinter::WideFingerprinter(
@@ -43,18 +52,23 @@ WideFingerprint WideFingerprinter::Of(const ProgramSet& subset) const {
   const std::vector<uint64_t>& words = subset.words();
   for (size_t w = 0; w < words.size(); ++w) {
     for (uint64_t rest = words[w]; rest != 0; rest &= rest - 1) {
-      const uint64_t member = member_hash_[w * 64 + __builtin_ctzll(rest)];
-      // Two structurally different chains over the same member hashes: both
-      // are order-sensitive (ascending member order is fixed), and an
-      // accidental collision must break both simultaneously.
-      fp.hi = MixBits64(fp.hi ^ member);
-      fp.lo = MixBits64(fp.lo + (member | 1) * 0xff51afd7ed558ccdULL);
+      Absorb(fp, member_hash_[w * 64 + __builtin_ctzll(rest)]);
     }
   }
   return fp;
 }
 
-std::optional<bool> VerdictCache::Lookup(const std::string& fingerprint) {
+WideFingerprint WideFingerprinter::Of(uint32_t mask) const {
+  MVRC_CHECK_MSG(num_members() <= 32 && (num_members() == 32 || mask >> num_members() == 0),
+                 "WideFingerprinter::Of(mask) requires a mask over its own member list");
+  WideFingerprint fp{seed_hi_, seed_lo_};
+  for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    Absorb(fp, member_hash_[__builtin_ctz(rest)]);
+  }
+  return fp;
+}
+
+std::optional<bool> VerdictCache::Lookup(const WideFingerprint& fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = verdicts_.find(fingerprint);
   if (it == verdicts_.end()) {
@@ -65,18 +79,7 @@ std::optional<bool> VerdictCache::Lookup(const std::string& fingerprint) {
   return it->second;
 }
 
-std::optional<bool> VerdictCache::Lookup(const WideFingerprint& fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = wide_verdicts_.find(fingerprint);
-  if (it == wide_verdicts_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void VerdictCache::Store(const std::string& fingerprint, bool robust) {
+void VerdictCache::Store(const WideFingerprint& fingerprint, bool robust) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (verdicts_.size() >= kMaxEntries && !verdicts_.count(fingerprint)) {
     verdicts_.clear();
@@ -84,23 +87,14 @@ void VerdictCache::Store(const std::string& fingerprint, bool robust) {
   verdicts_[fingerprint] = robust;
 }
 
-void VerdictCache::Store(const WideFingerprint& fingerprint, bool robust) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (wide_verdicts_.size() >= kMaxEntries && !wide_verdicts_.count(fingerprint)) {
-    wide_verdicts_.clear();
-  }
-  wide_verdicts_[fingerprint] = robust;
-}
-
 void VerdictCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   verdicts_.clear();
-  wide_verdicts_.clear();
 }
 
 size_t VerdictCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return verdicts_.size() + wide_verdicts_.size();
+  return verdicts_.size();
 }
 
 int64_t VerdictCache::hits() const {

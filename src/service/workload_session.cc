@@ -11,7 +11,6 @@
 #include "sql/analyzer.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
@@ -63,8 +62,8 @@ Json SessionStats::ToJson() const {
   return stats;
 }
 
-WorkloadSession::WorkloadSession(std::string name, AnalysisSettings settings, ThreadPool* pool)
-    : name_(std::move(name)), settings_(settings), pool_(pool) {}
+WorkloadSession::WorkloadSession(std::string name, AnalysisSettings settings)
+    : name_(std::move(name)), settings_(settings) {}
 
 int WorkloadSession::FindEntryLocked(const std::string& name) const {
   for (size_t i = 0; i < entries_.size(); ++i) {
@@ -94,15 +93,9 @@ WorkloadSession::Cell WorkloadSession::ComputeCellLocked(const Entry& from,
 std::vector<WorkloadSession::Cell> WorkloadSession::ComputeCellsLocked(
     const std::vector<std::pair<int, int>>& pairs, const EntryAt& entry_at) {
   TraceSpan span("session/compute_cells", "cells=" + std::to_string(pairs.size()));
-  std::vector<Cell> computed(pairs.size());
-  auto compute = [&](int64_t t) {
-    computed[t] = ComputeCellLocked(entry_at(pairs[t].first), entry_at(pairs[t].second));
-  };
-  if (pool_ != nullptr && pool_->num_threads() > 1 && pairs.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(pairs.size()), compute);
-  } else {
-    for (size_t t = 0; t < pairs.size(); ++t) compute(static_cast<int64_t>(t));
-  }
+  std::vector<Cell> computed;
+  computed.reserve(pairs.size());
+  for (const auto& [i, j] : pairs) computed.push_back(ComputeCellLocked(entry_at(i), entry_at(j)));
   stats_.cells_computed += static_cast<int64_t>(pairs.size());
   static Counter* cells = MetricsRegistry::Global().counter("session.cells_computed");
   cells->Add(static_cast<int64_t>(pairs.size()));
@@ -121,8 +114,7 @@ WorkloadSession::Entry WorkloadSession::MakeEntryLocked(const Btp& program) {
   Entry entry{program, UnfoldAtMost2(program), {}, 0};
   entry.interned.reserve(entry.ltps.size());
   for (const Ltp& ltp : entry.ltps) entry.interned.push_back(InternLtp(interner_, ltp));
-  // Cover any newly interned shapes before cell computation (which may fan
-  // out across the pool and must see a read-only interner + matrix).
+  // Cover any newly interned shapes before cell computation.
   matrix_.Sync(interner_, settings_);
   return entry;
 }
@@ -432,37 +424,34 @@ SummaryGraph WorkloadSession::Graph() {
   return CachedGraphLocked();
 }
 
-std::string WorkloadSession::FingerprintLocked(uint32_t mask, Method method) const {
-  // The settings prefix (granularity, FK usage, isolation) keeps
-  // fingerprints collision-free across isolation levels — two sessions
-  // analyzing the same programs under different policies never share a key
-  // even if their caches were merged.
-  std::string fingerprint = settings_.ToString();
-  fingerprint.push_back('|');
-  fingerprint += std::to_string(static_cast<int>(method));
-  fingerprint.push_back('|');
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (i < 32 && ((mask >> i) & 1) == 0) continue;
-    fingerprint += entries_[i].program.name();
-    fingerprint.push_back('#');
-    fingerprint += std::to_string(entries_[i].revision);
-    fingerprint.push_back(';');
-  }
-  return fingerprint;
-}
-
-WideFingerprinter WorkloadSession::WideFingerprinterLocked(Method method) const {
-  // Same ingredients as FingerprintLocked — settings, method, per-member
-  // (name, revision) — in the hashed wide currency: one snapshot per search,
-  // a few ns per subset after that. Identical (name, revision) states yield
-  // identical fingerprints across searches, so verdicts persist in the cache
-  // across mutations that leave members' incident cells unchanged.
+WideFingerprinter WorkloadSession::FingerprinterLocked(Method method,
+                                                       const std::string& context) const {
+  // The settings string (granularity, FK usage, isolation) keeps keys apart
+  // across isolation levels — two sessions analyzing the same programs
+  // under different policies never share a key even if their caches were
+  // merged. One snapshot per request, a few ns per subset after that.
+  // Identical (name, revision) states yield identical fingerprints across
+  // requests, so verdicts persist in the cache across mutations that leave
+  // members' incident cells unchanged.
   std::vector<std::pair<std::string, int64_t>> members;
   members.reserve(entries_.size());
   for (const Entry& entry : entries_) {
     members.emplace_back(entry.program.name(), entry.revision);
   }
-  return WideFingerprinter(settings_.ToString(), static_cast<int>(method), members);
+  return WideFingerprinter(settings_.ToString() + context, static_cast<int>(method), members);
+}
+
+WideFingerprint WorkloadSession::CheckKeyLocked(Method method) const {
+  // Through kMaxSubsetPrograms this is the exhaustive sweep's own full-set
+  // key, so a sweep reuses a check's verdict and vice versa. Above, it is
+  // kept apart from the core-guided search's keys: the search reports the
+  // detector queries it ran, and a session's first `subsets` reports the
+  // same count whether or not a `check` came first (perfbench compares it
+  // with a from-scratch replay). Subsets stores this key from the lattice
+  // instead.
+  const int n = static_cast<int>(entries_.size());
+  return FingerprinterLocked(method, SubsetProgramCountOk(n) ? "" : "|check")
+      .Of(ProgramSet::Full(n));
 }
 
 void WorkloadSession::SyncCacheStatsLocked() {
@@ -493,13 +482,7 @@ CheckResult WorkloadSession::Check(Method method) {
   result.num_edges = graph.num_edges();
   result.num_counterflow_edges = graph.num_counterflow_edges();
 
-  // The full set is the all-ones mask; sessions beyond 32 programs fall
-  // outside the mask encoding, so FingerprintLocked includes every entry
-  // unconditionally past bit 31 (see the i < 32 guard) and the fingerprint
-  // stays exact.
-  const uint32_t full_mask =
-      entries_.size() >= 32 ? ~uint32_t{0} : (uint32_t{1} << entries_.size()) - 1;
-  const std::string fingerprint = FingerprintLocked(full_mask, method);
+  const WideFingerprint fingerprint = CheckKeyLocked(method);
   std::optional<bool> cached = verdict_cache_.Lookup(fingerprint);
   if (cached.has_value()) {
     result.robust = *cached;
@@ -539,43 +522,45 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
     for (const Entry& entry : entries_) names->push_back(entry.program.name());
   }
 
-  SubsetSweepHooks hooks;
-  hooks.lookup = [this, method](uint32_t mask) {
-    return verdict_cache_.Lookup(FingerprintLocked(mask, method));
-  };
-  hooks.store = [this, method](uint32_t mask, bool robust) {
-    ++stats_.detector_runs;
-    verdict_cache_.Store(FingerprintLocked(mask, method), robust);
-  };
   // Regime routing, both against the memoized MaskedDetector so repeated
   // subset requests (and re-checks after mutations, where the verdict cache
   // answers the untouched masks) skip both graph copies and the detector
   // precomputation: exhaustive-range sessions take the sweep (bit-identical
-  // oracle) with the narrow string-keyed hooks above; larger ones take the
-  // core-guided search with wide 128-bit fingerprints, which cover every
-  // program count the search accepts. The wide callbacks run on pool
-  // workers, so they touch only the internally synchronized VerdictCache —
-  // never stats_ — and the search's own counters are merged afterwards
-  // under the session lock. Sessions beyond both regimes get the
-  // program-count error without building anything.
+  // oracle) with the mask hooks, larger ones the core-guided search with the
+  // ProgramSet hooks; both key the cache by the same fingerprints. Sessions
+  // beyond both regimes get the program-count error without building
+  // anything.
   const int n = static_cast<int>(entries_.size());
+  const WideFingerprinter fingerprinter = FingerprinterLocked(method);
   Result<SubsetReport> report = [&]() -> Result<SubsetReport> {
     if (SubsetProgramCountOk(n)) {
-      return AnalyzeSubsetsOnDetector(CachedDetectorLocked(), method, pool_, &hooks);
+      SubsetSweepHooks hooks;
+      hooks.lookup = [this, &fingerprinter](uint32_t mask) {
+        return verdict_cache_.Lookup(fingerprinter.Of(mask));
+      };
+      hooks.store = [this, &fingerprinter](uint32_t mask, bool robust) {
+        ++stats_.detector_runs;
+        verdict_cache_.Store(fingerprinter.Of(mask), robust);
+      };
+      return AnalyzeSubsetsOnDetector(CachedDetectorLocked(), method, &hooks);
     }
     if (CoreSearchProgramCountOk(n)) {
-      const WideFingerprinter fingerprinter = WideFingerprinterLocked(method);
-      SubsetSweepHooks wide_hooks;
-      wide_hooks.wide_lookup = [this, &fingerprinter](const ProgramSet& subset) {
+      SubsetSweepHooks hooks;
+      hooks.wide_lookup = [this, &fingerprinter](const ProgramSet& subset) {
         return verdict_cache_.Lookup(fingerprinter.Of(subset));
       };
-      wide_hooks.wide_store = [this, &fingerprinter](const ProgramSet& subset, bool robust) {
+      hooks.wide_store = [this, &fingerprinter](const ProgramSet& subset, bool robust) {
         verdict_cache_.Store(fingerprinter.Of(subset), robust);
       };
       CoreSearchStats search_stats;
-      Result<SubsetReport> wide_report = AnalyzeSubsetsCoreGuided(
-          CachedDetectorLocked(), method, pool_, &wide_hooks, &search_stats);
+      Result<SubsetReport> wide_report =
+          AnalyzeSubsetsCoreGuided(CachedDetectorLocked(), method, &hooks, &search_stats);
       stats_.detector_runs += search_stats.detector_queries;
+      // The full set is robust iff the lattice has no core (Proposition
+      // 5.2), so a later check is answered from the cache.
+      if (wide_report.ok()) {
+        verdict_cache_.Store(CheckKeyLocked(method), wide_report.value().cores.empty());
+      }
       return wide_report;
     }
     return Result<SubsetReport>::Error(

@@ -15,10 +15,11 @@
 // bit-identical to a from-scratch BuildSummaryGraph over the same programs
 // (asserted by tests/service_test.cc after every mutation).
 //
-// Robustness verdicts — of the full set and of every subset the sweep
-// evaluates — are memoized in a VerdictCache keyed by a program-set
-// fingerprint: the analysis settings (granularity, FK usage, isolation
-// level) and method plus each member's (name, revision).
+// Robustness verdicts — of the full set and of every subset the subset
+// engines evaluate — are memoized in a VerdictCache keyed by a 128-bit
+// program-set fingerprint (WideFingerprinter) over the analysis settings
+// (granularity, FK usage, isolation level) and method plus each member's
+// (name, revision).
 // A revision only advances when a mutation actually changed one of the
 // program's incident cells (ReplaceProgram with equivalent edges keeps the
 // revision), so cached verdicts survive every mutation that provably cannot
@@ -26,9 +27,7 @@
 // the changed program.
 //
 // Thread safety: public methods lock an internal mutex, so a session may be
-// shared across server threads. The optional ThreadPool (borrowed, not
-// owned — typically the SessionManager's) parallelizes cell recomputation
-// and the subset sweep; pass nullptr for fully serial operation.
+// shared across server threads.
 
 #ifndef MVRC_SERVICE_WORKLOAD_SESSION_H_
 #define MVRC_SERVICE_WORKLOAD_SESSION_H_
@@ -56,8 +55,6 @@
 #include "workloads/workload.h"
 
 namespace mvrc {
-
-class ThreadPool;
 
 /// Counters describing a session's lifetime work; `stats` protocol requests
 /// render these. stmt_pairs_evaluated is the dep-table work measure the
@@ -134,8 +131,7 @@ struct CheckResult {
 /// cells + verdict cache.
 class WorkloadSession {
  public:
-  /// `pool` (may be null) is borrowed and must outlive the session.
-  WorkloadSession(std::string name, AnalysisSettings settings, ThreadPool* pool = nullptr);
+  WorkloadSession(std::string name, AnalysisSettings settings);
 
   WorkloadSession(const WorkloadSession&) = delete;
   WorkloadSession& operator=(const WorkloadSession&) = delete;
@@ -189,7 +185,8 @@ class WorkloadSession {
   SummaryGraph Graph();
 
   /// Full-set robustness under the session settings, served from the verdict
-  /// cache when the fingerprint is known.
+  /// cache when the fingerprint is known — also after a Subsets run, whose
+  /// lattice settles the full set.
   CheckResult Check(Method method = Method::kTypeII);
 
   /// Subset analysis over the current programs, in the regime the program
@@ -198,15 +195,12 @@ class WorkloadSession {
   /// the core-guided search (robust/core_search.h) through
   /// kMaxCoreSearchPrograms — same maximal sets, lattice representation
   /// (SubsetReport::cores / maximal_sets) — and an error above that. Both
-  /// regimes are memoized per subset through the verdict cache: the
-  /// exhaustive sweep under narrow string keys, the core-guided search
-  /// under wide 128-bit fingerprints (WideFingerprinter) covering every
-  /// program count it accepts, so subsets whose member fingerprints are
-  /// cached skip the detector in either regime. When `names` is non-null it
-  /// receives the member
-  /// program names in mask-bit order, snapshotted atomically with the
-  /// analysis — a caller reading names separately could race a concurrent
-  /// mutation and mislabel masks.
+  /// regimes are memoized per subset through the verdict cache, so subsets
+  /// whose member fingerprints are cached skip the detector in either
+  /// regime. When `names` is non-null it receives the member program names
+  /// in mask-bit order, snapshotted atomically with the analysis — a caller
+  /// reading names separately could race a concurrent mutation and mislabel
+  /// masks.
   Result<SubsetReport> Subsets(Method method = Method::kTypeII,
                                std::vector<std::string>* names = nullptr);
 
@@ -251,8 +245,8 @@ class WorkloadSession {
   // assigns the revision.
   Entry MakeEntryLocked(const Btp& program);
   Cell ComputeCellLocked(const Entry& from, const Entry& to) const;
-  // Computes the cells for `pairs` (fanning across the pool when present)
-  // and accounts the dep-table work in stats_.
+  // Computes the cells for `pairs` and accounts the dep-table work in
+  // stats_.
   std::vector<Cell> ComputeCellsLocked(const std::vector<std::pair<int, int>>& pairs,
                                        const EntryAt& entry_at);
   // Appends `program` (already validated) as a new entry with fresh cells.
@@ -264,17 +258,16 @@ class WorkloadSession {
   // Drops the memoized graph and the detector borrowing it; every mutation
   // that touches cells must call this.
   void InvalidateGraphLocked();
-  std::string FingerprintLocked(uint32_t mask, Method method) const;
-  // Snapshot fingerprinter over the current (name, revision) state — the
-  // wide-currency counterpart of FingerprintLocked, feeding the core-guided
-  // search's verdict-cache hooks at any accepted program count.
-  WideFingerprinter WideFingerprinterLocked(Method method) const;
+  // Snapshot fingerprinter over the current (name, revision) state — every
+  // verdict-cache key of one request. `context` extends the settings string.
+  WideFingerprinter FingerprinterLocked(Method method, const std::string& context = {}) const;
+  // The verdict-cache key Check reads and writes for the full set.
+  WideFingerprint CheckKeyLocked(Method method) const;
   std::vector<std::pair<int, int>> LtpRangesLocked() const;
   void SyncCacheStatsLocked();
 
   const std::string name_;
   const AnalysisSettings settings_;
-  ThreadPool* const pool_;  // borrowed; may be null
 
   mutable std::mutex mutex_;
   Schema schema_;

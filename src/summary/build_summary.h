@@ -6,8 +6,7 @@
 // verdict matrix is precomputed, and the per-occurrence-pair work of
 // Algorithm 1 collapses to a bucket join plus one byte lookup (plus a
 // foreign-key suppression check only on kCounterflowFkCheck entries). The
-// edge sequence is bit-identical to the legacy per-pair path — same
-// ordering contract the parallel build established — which
+// edge sequence is bit-identical to the legacy per-pair path, which
 // tests/interned_build_test.cc and bench/bench_build_throughput.cc enforce
 // differentially against BuildSummaryGraphLegacy.
 
@@ -22,8 +21,6 @@
 #include "summary/summary_graph.h"
 
 namespace mvrc {
-
-class ThreadPool;
 
 /// The dep-table work unit of Algorithm 1: the edges admitted between one
 /// ordered pair of LTPs (non-counterflow before counterflow per statement
@@ -40,16 +37,9 @@ std::vector<SummaryEdge> SummaryEdgesBetween(const Ltp& from, int from_index, co
 /// Algorithm 1 via statement-shape interning: for every ordered pair of
 /// programs (including P_i = P_j) and every pair of statement occurrences
 /// over the same relation, adds a non-counterflow and/or counterflow edge
-/// according to the precomputed shape-pair verdict matrix. When
-/// settings.num_threads != 1, edge generation fans out across grain-chunked
-/// blocks of source rows; the resulting edge list is identical to the
-/// serial build. The returned graph has its CSR index finalized.
+/// according to the precomputed shape-pair verdict matrix. The returned
+/// graph has its CSR index finalized.
 SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings);
-
-/// Same, reusing a caller-owned pool (nullptr or a 1-thread pool selects the
-/// serial path). Lets AnalyzeSubsets share one pool across the whole run.
-SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings,
-                               ThreadPool* pool);
 
 /// Convenience wrapper: Unfold≤2 then Algorithm 1.
 SummaryGraph BuildSummaryGraph(const std::vector<Btp>& programs,

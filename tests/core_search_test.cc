@@ -30,7 +30,6 @@
 #include "robust/subsets.h"
 #include "robust/verdict_cache.h"
 #include "summary/build_summary.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 
@@ -220,8 +219,7 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
   Result<SubsetReport> exhaustive = AnalyzeSubsetsOnDetector(detector, method);
   ASSERT_TRUE(exhaustive.ok()) << context;
   CoreSearchStats stats;
-  Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, method, nullptr, nullptr, &stats);
+  Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, method, nullptr, &stats);
   ASSERT_TRUE(result.ok()) << context;
   const SubsetReport& report = result.value();
 
@@ -255,25 +253,10 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
     EXPECT_EQ(lattice_only.IsRobustSubset(mask), expected) << context << " mask=" << mask;
   }
 
-  // Accounting: the stats decompose the total query count (serial runs never
-  // chunk, so probe_queries stays zero here).
-  EXPECT_EQ(stats.detector_queries,
-            stats.candidate_queries + stats.probe_queries + stats.shrink_queries)
-      << context;
-  EXPECT_EQ(stats.probe_queries, 0) << context;
+  // Accounting: the stats decompose the total query count.
+  EXPECT_EQ(stats.detector_queries, stats.candidate_queries + stats.shrink_queries) << context;
   EXPECT_EQ(report.detector_queries, stats.detector_queries) << context;
   EXPECT_GT(stats.rounds, 0) << context;
-
-  // The parallel search is the same search: identical report, field for
-  // field (outcomes are merged in deterministic batch order).
-  ThreadPool pool(4);
-  Result<SubsetReport> parallel = AnalyzeSubsetsCoreGuided(detector, method, &pool);
-  ASSERT_TRUE(parallel.ok()) << context;
-  EXPECT_EQ(parallel.value().robust_masks, report.robust_masks) << context;
-  EXPECT_EQ(parallel.value().maximal_masks, report.maximal_masks) << context;
-  EXPECT_EQ(parallel.value().cores, report.cores) << context;
-  EXPECT_EQ(parallel.value().maximal_sets, report.maximal_sets) << context;
-  EXPECT_EQ(parallel.value().num_threads, 4) << context;
 }
 
 // The randomized generator of tests/masked_detector_test.cc, with a
@@ -418,8 +401,8 @@ TEST(CoreSearchEntryPointTest, TryAnalyzeMatchesSweepAndCountsQueries) {
   const AnalysisSettings settings = AnalysisSettings::AttrDepFk();
   SubsetReport exhaustive = AnalyzeSubsets(workload.programs, settings, Method::kTypeII);
   CoreSearchStats stats;
-  Result<SubsetReport> result = TryAnalyzeSubsetsCoreGuided(workload.programs, settings,
-                                                            Method::kTypeII, nullptr, &stats);
+  Result<SubsetReport> result =
+      TryAnalyzeSubsetsCoreGuided(workload.programs, settings, Method::kTypeII, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().robust_masks, exhaustive.robust_masks);
   EXPECT_EQ(result.value().maximal_masks, exhaustive.maximal_masks);
@@ -510,10 +493,8 @@ TEST(CoreSearchWideTest, AuctionN12LatticeIsDetectorConsistent) {
   const AnalysisSettings settings = AnalysisSettings::AttrDep();
   GraphUnderTest t = Build(workload.programs, settings);
   MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-  ThreadPool pool(4);
   CoreSearchStats stats;
-  Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, nullptr, &stats);
+  Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &stats);
   ASSERT_TRUE(result.ok());
   const SubsetReport& report = result.value();
   EXPECT_TRUE(report.from_core_search);
@@ -543,9 +524,7 @@ TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
           AnalysisSettings::AttrDepFk().WithIsolation(isolation);
       GraphUnderTest t = Build(programs, settings);
       MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-      ThreadPool pool(4);
-      Result<SubsetReport> result =
-          AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool);
+      Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII);
       ASSERT_TRUE(result.ok());
       ExpectLatticeConsistent(detector, result.value(), Method::kTypeII,
                               "wide seed=" + std::to_string(seed) + " / " + settings.name());
@@ -554,49 +533,25 @@ TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
   }
 }
 
-// --- Parallel determinism in the wide regime: the chunked parallel search
-// must report the exact lattice the serial search reports (the canonicity
-// argument in core_search.h), under both isolation policies, across many
-// random 24-program workloads where no exhaustive oracle exists.
-
-class CoreSearchParallelDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CoreSearchParallelDifferentialTest, WideParallelLatticeIsBitIdenticalToSerial) {
-  RandomWorkloadGen gen(GetParam() * 7817 + 41);
-  Schema schema;
-  std::vector<Btp> programs = gen.Generate(schema, 24);
-  for (IsolationLevel isolation : {IsolationLevel::kMvrc, IsolationLevel::kRc}) {
-    const AnalysisSettings settings = AnalysisSettings::AttrDepFk().WithIsolation(isolation);
-    const std::string context =
-        "seed=" + std::to_string(GetParam()) + " / " + settings.name();
-    GraphUnderTest t = Build(programs, settings);
-    MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-    CoreSearchStats serial_stats;
-    Result<SubsetReport> serial =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, &serial_stats);
-    ASSERT_TRUE(serial.ok()) << context;
-    ThreadPool pool(8);
-    CoreSearchStats parallel_stats;
-    Result<SubsetReport> parallel =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, nullptr, &parallel_stats);
-    ASSERT_TRUE(parallel.ok()) << context;
-    EXPECT_EQ(parallel.value().cores, serial.value().cores) << context;
-    EXPECT_EQ(parallel.value().maximal_sets, serial.value().maximal_sets) << context;
-    EXPECT_EQ(parallel.value().maximal_masks, serial.value().maximal_masks) << context;
-    EXPECT_EQ(parallel.value().num_threads, 8) << context;
-    // Chunked extraction may change the query mix, never the accounting
-    // identity.
-    EXPECT_EQ(parallel_stats.detector_queries,
-              parallel_stats.candidate_queries + parallel_stats.probe_queries +
-                  parallel_stats.shrink_queries)
-        << context;
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+// The serial search's exact trajectory at the 128-program cap: Auction(64)
+// under attr dep has one singleton core per bid program, found one per
+// round. bench_core_search --pairs=64 reports the same counts.
+TEST(CoreSearchWideTest, Auction64CountsArePinned) {
+  Workload workload = MakeAuctionN(64);
+  ASSERT_EQ(workload.programs.size(), static_cast<size_t>(kMaxCoreSearchPrograms));
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();
+  GraphUnderTest t = Build(workload.programs, settings);
+  MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
+  CoreSearchStats stats;
+  Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(stats.detector_queries, 256);
+  EXPECT_EQ(stats.candidate_queries, 65);
+  EXPECT_EQ(stats.shrink_queries, 191);
+  EXPECT_EQ(stats.rounds, 65);
+  EXPECT_EQ(result.value().cores.size(), 64u);
+  EXPECT_EQ(result.value().maximal_sets.size(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CoreSearchParallelDifferentialTest, ::testing::Range(0, 20));
-
-// --- Safety valve.
 
 // --- Wide verdict-cache hooks: a second search over a warm cache answers
 // every query from the hooks and still produces the identical report.
@@ -620,21 +575,20 @@ TEST(CoreSearchWideHooksTest, WarmCacheAnswersEveryQuery) {
     cache.Store(fingerprinter.Of(subset), robust);
   };
 
-  ThreadPool pool(4);
   CoreSearchStats cold_stats;
   Result<SubsetReport> cold =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, &hooks, &cold_stats);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &hooks, &cold_stats);
   ASSERT_TRUE(cold.ok());
   EXPECT_GT(cold_stats.detector_queries, 0);
   EXPECT_GT(cold_stats.cache_misses, 0);
   EXPECT_GT(cache.size(), 0u);
 
-  // Warm run: every IsRobust evaluation — candidates, probes, shrink tests —
+  // Warm run: every IsRobust evaluation — candidates and shrink tests —
   // hits the cache; the detector is never consulted and the report is
   // unchanged.
   CoreSearchStats warm_stats;
   Result<SubsetReport> warm =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, &hooks, &warm_stats);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &hooks, &warm_stats);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm_stats.detector_queries, 0);
   EXPECT_EQ(warm_stats.cache_misses, 0);
@@ -642,19 +596,9 @@ TEST(CoreSearchWideHooksTest, WarmCacheAnswersEveryQuery) {
   EXPECT_GT(warm_stats.hook_hits, 0);
   EXPECT_EQ(warm.value().cores, cold.value().cores);
   EXPECT_EQ(warm.value().maximal_sets, cold.value().maximal_sets);
-
-  // A serial run reuses the same cache too (wide hooks are not tied to the
-  // pool) — it follows a different round trajectory than the chunked
-  // parallel run, so it may still pay some queries, but cached subsets
-  // (every singleton core's shrink neighborhood, the full set) hit.
-  CoreSearchStats serial_stats;
-  Result<SubsetReport> serial =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &hooks, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_GT(serial_stats.cache_hits, 0);
-  EXPECT_EQ(serial.value().cores, cold.value().cores);
-  EXPECT_EQ(serial.value().maximal_sets, cold.value().maximal_sets);
 }
+
+// --- Safety valve.
 
 TEST(CoreSearchOptionsTest, LatticeBlowupIsAnErrorNotAnOom) {
   // SmallBank under tuple dep has three maximal robust subsets, so the
@@ -668,7 +612,7 @@ TEST(CoreSearchOptionsTest, LatticeBlowupIsAnErrorNotAnOom) {
   CoreSearchOptions options;
   options.max_lattice_sets = 1;  // below SmallBank's real family of 3
   Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, nullptr, options);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("max_lattice_sets"), std::string::npos);
 }

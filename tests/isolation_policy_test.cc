@@ -138,7 +138,7 @@ TEST(IsolationPolicyTest, RcDropsWritingSourceReadClauseEdges) {
   // The interned builder agrees with the legacy evaluator under both
   // policies.
   for (const AnalysisSettings& settings : {mvrc, rc}) {
-    SummaryGraph interned = BuildSummaryGraph(ltps, settings, nullptr);
+    SummaryGraph interned = BuildSummaryGraph(ltps, settings);
     SummaryGraph legacy = BuildSummaryGraphLegacy(ltps, settings);
     EXPECT_EQ(interned.edges(), legacy.edges()) << settings.name();
   }

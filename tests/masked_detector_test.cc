@@ -4,8 +4,7 @@
 // AND the same witness (edges, paths — compared via Describe, which renders
 // program names and statement labels and is therefore stable across the
 // subgraph re-indexing). Also covers the allocation-free scratch contract:
-// one scratch serves interleaved masks and methods, and scratches are
-// independent across threads.
+// one scratch serves interleaved masks and methods.
 
 #include <cstdint>
 #include <optional>
@@ -21,7 +20,6 @@
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
@@ -264,9 +262,9 @@ TEST(MaskedDetectorScratchTest, ScratchIsReusableAcrossMasksAndMethods) {
 }
 
 // The sweep built on the detector must agree with a sweep-free full
-// enumeration, and per-worker scratches must not interfere under threads.
+// enumeration.
 
-TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
+TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumeration) {
   Workload workload = MakeAuctionN(3);
   GraphUnderTest t = Build(workload.programs, AnalysisSettings::AttrDepFk());
   MaskedDetector detector(t.graph, t.ltp_range);
@@ -278,16 +276,9 @@ TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
     if (detector.IsRobust(mask, Method::kTypeII, scratch)) expected.push_back(mask);
   }
 
-  Result<SubsetReport> serial = AnalyzeSubsetsOnDetector(detector, Method::kTypeII);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial.value().robust_masks, expected);
-
-  ThreadPool pool(4);
-  Result<SubsetReport> parallel =
-      AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel.value().robust_masks, expected);
-  EXPECT_EQ(parallel.value().maximal_masks, serial.value().maximal_masks);
+  Result<SubsetReport> swept = AnalyzeSubsetsOnDetector(detector, Method::kTypeII);
+  ASSERT_TRUE(swept.ok());
+  EXPECT_EQ(swept.value().robust_masks, expected);
 }
 
 TEST(SubsetReportTest, IsRobustSubsetBinarySearchesSortedMasks) {

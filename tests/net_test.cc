@@ -142,8 +142,7 @@ class TestServer {
  public:
   explicit TestServer(const NetServer::Options& options,
                       size_t max_line_bytes = size_t{1} << 20)
-      : manager_(1),
-        dispatcher_(manager_, ProtocolOptions(), max_line_bytes),
+      : dispatcher_(manager_, ProtocolOptions(), max_line_bytes),
         server_(dispatcher_, options) {
     Status started = server_.Start();
     EXPECT_TRUE(started.ok()) << started.error();
@@ -588,7 +587,7 @@ TEST_F(NetServerTest, TcpResponsesAreByteIdenticalToStdioDispatch) {
   // Reference: the same dispatch path the stdio loop uses, fresh manager.
   std::vector<std::string> reference;
   {
-    SessionManager manager(1);
+    SessionManager manager;
     RequestDispatcher dispatcher(manager, ProtocolOptions(), size_t{1} << 20);
     for (const std::string& request : requests) {
       std::optional<std::string> response = dispatcher.OnLine(request);

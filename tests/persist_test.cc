@@ -253,7 +253,7 @@ class SessionSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(SessionSnapshotTest, RoundTripsThroughEveryJournaledMutation) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(SmallBankSql()).ok());
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
@@ -263,7 +263,7 @@ TEST_F(SessionSnapshotTest, RoundTripsThroughEveryJournaledMutation) {
 
   ASSERT_TRUE(TrySnapshotSession(*store_, *session).ok());
 
-  SessionManager recovered_manager(1);
+  SessionManager recovered_manager;
   RestoreReport report = RestoreAllSessions(*store_, recovered_manager);
   ASSERT_EQ(report.restored, std::vector<std::string>{"s"});
   EXPECT_TRUE(report.quarantined.empty());
@@ -280,7 +280,7 @@ TEST_F(SessionSnapshotTest, RoundTripsThroughEveryJournaledMutation) {
 }
 
 TEST_F(SessionSnapshotTest, BuiltinLoadsReplayByName) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "builtin");
   std::optional<Workload> auction = MakeBuiltinWorkload("auction");
   ASSERT_TRUE(auction.has_value());
@@ -288,7 +288,7 @@ TEST_F(SessionSnapshotTest, BuiltinLoadsReplayByName) {
   const SessionFingerprint original = FingerprintOf(*session);
   ASSERT_TRUE(TrySnapshotSession(*store_, *session).ok());
 
-  SessionManager recovered_manager(1);
+  SessionManager recovered_manager;
   RestoreReport report = RestoreAllSessions(*store_, recovered_manager);
   ASSERT_EQ(report.restored, std::vector<std::string>{"builtin"});
   std::shared_ptr<WorkloadSession> recovered = recovered_manager.Find("builtin");
@@ -297,7 +297,7 @@ TEST_F(SessionSnapshotTest, BuiltinLoadsReplayByName) {
 }
 
 TEST_F(SessionSnapshotTest, PrebuiltBtpSessionsAreSkippedNotFailed) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "prebuilt");
   // No builtin name: the session holds Btps with no recorded source.
   std::optional<Workload> smallbank = MakeBuiltinWorkload("smallbank");
@@ -312,7 +312,7 @@ TEST_F(SessionSnapshotTest, PrebuiltBtpSessionsAreSkippedNotFailed) {
 }
 
 TEST_F(SessionSnapshotTest, CrcCleanButUnreplayablePayloadIsQuarantined) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
   Result<std::string> payload = EncodeSessionSnapshot(*session);
@@ -326,7 +326,7 @@ TEST_F(SessionSnapshotTest, CrcCleanButUnreplayablePayloadIsQuarantined) {
   tampered.Set("label_counter", Json::Int(9999));
   ASSERT_TRUE(store_->Write(SnapshotStore::EncodeKey("s"), tampered.Dump()).ok());
 
-  SessionManager recovered_manager(1);
+  SessionManager recovered_manager;
   RestoreReport report = RestoreAllSessions(*store_, recovered_manager);
   EXPECT_TRUE(report.restored.empty());
   ASSERT_EQ(report.quarantined.size(), 1u);
@@ -335,7 +335,7 @@ TEST_F(SessionSnapshotTest, CrcCleanButUnreplayablePayloadIsQuarantined) {
 }
 
 TEST_F(SessionSnapshotTest, RestoreSkipsSessionsAlreadyLive) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
   ASSERT_TRUE(TrySnapshotSession(*store_, *session).ok());
@@ -365,7 +365,7 @@ TEST(FaultMatrixTest, EveryFaultPointEveryHitRestoresOrQuarantines) {
   SessionFingerprint state_a;
   SessionFingerprint state_b;
   {
-    SessionManager reference(1);
+    SessionManager reference;
     std::shared_ptr<WorkloadSession> session =
         reference.GetOrCreate("s", AnalysisSettings::AttrDepFk());
     ASSERT_TRUE(session->LoadSql(SmallBankSql()).ok());
@@ -381,7 +381,7 @@ TEST(FaultMatrixTest, EveryFaultPointEveryHitRestoresOrQuarantines) {
       SCOPED_TRACE(std::string(point) + "@" + std::to_string(fire_at));
       TempDir dir;
       {
-        SessionManager manager(1);
+        SessionManager manager;
         std::shared_ptr<WorkloadSession> session =
             manager.GetOrCreate("s", AnalysisSettings::AttrDepFk());
         ASSERT_TRUE(session->LoadSql(SmallBankSql()).ok());
@@ -400,7 +400,7 @@ TEST(FaultMatrixTest, EveryFaultPointEveryHitRestoresOrQuarantines) {
       // manager, scan-validate-restore.
       SnapshotStore recovered_store(dir.path);
       ASSERT_TRUE(recovered_store.Init().ok());
-      SessionManager recovered_manager(1);
+      SessionManager recovered_manager;
       RestoreReport report = RestoreAllSessions(recovered_store, recovered_manager);
 
       if (report.restored.empty()) {

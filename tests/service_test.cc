@@ -257,23 +257,6 @@ TEST(WorkloadSessionTest, MutationErrorsLeaveSessionUntouched) {
   EXPECT_EQ(session.num_programs(), 5);
 }
 
-TEST(WorkloadSessionTest, ParallelSessionMatchesSerial) {
-  ThreadPool pool(4);
-  Workload workload = MakeAuctionN(3);
-  WorkloadSession parallel("p", AnalysisSettings::AttrDepFk(), &pool);
-  WorkloadSession serial("s", AnalysisSettings::AttrDepFk());
-  ASSERT_TRUE(parallel.LoadWorkload(workload).ok());
-  ASSERT_TRUE(serial.LoadWorkload(workload).ok());
-  EXPECT_EQ(parallel.Graph().edges(), serial.Graph().edges());
-  Result<SubsetReport> parallel_report = parallel.Subsets(Method::kTypeII);
-  Result<SubsetReport> serial_report = serial.Subsets(Method::kTypeII);
-  ASSERT_TRUE(parallel_report.ok());
-  ASSERT_TRUE(serial_report.ok());
-  EXPECT_EQ(parallel_report.value().robust_masks, serial_report.value().robust_masks);
-  EXPECT_EQ(parallel_report.value().maximal_masks, serial_report.value().maximal_masks);
-  ExpectMatchesScratch(parallel, "pooled auction(3) session");
-}
-
 // Generates n trivial single-select programs over one relation.
 std::string ManyProgramsSql(int n) {
   std::ostringstream os;
@@ -327,25 +310,8 @@ TEST(WorkloadSessionTest, SubsetsBeyondCoreSearchCapIsARequestErrorNotAnAbort) {
   EXPECT_TRUE(session.Check().robust);
 }
 
-TEST(TryAnalyzeSubsetsTest, SharedPoolMatchesOwnedPool) {
-  Workload workload = MakeSmallBank();
-  SubsetReport owned =
-      AnalyzeSubsets(workload.programs, AnalysisSettings::AttrDepFk().WithThreads(4),
-                     Method::kTypeII);
-  ThreadPool pool(4);
-  Result<SubsetReport> shared = TryAnalyzeSubsets(
-      workload.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII, &pool);
-  ASSERT_TRUE(shared.ok());
-  EXPECT_EQ(shared.value().num_threads, 4);
-  EXPECT_EQ(shared.value().robust_masks, owned.robust_masks);
-  EXPECT_EQ(shared.value().maximal_masks, owned.maximal_masks);
-}
-
 TEST(SessionManagerTest, GetOrCreateFindDrop) {
-  SessionManager manager(1);
-  EXPECT_EQ(manager.num_threads(), 1);
-  EXPECT_EQ(manager.pool(), nullptr);
-
+  SessionManager manager;
   auto a = manager.GetOrCreate("a", AnalysisSettings::AttrDepFk());
   auto a_again = manager.GetOrCreate("a", AnalysisSettings::TupleDep());
   EXPECT_EQ(a.get(), a_again.get());
@@ -361,10 +327,8 @@ TEST(SessionManagerTest, GetOrCreateFindDrop) {
   EXPECT_EQ(manager.SessionNames(), (std::vector<std::string>{"b"}));
 }
 
-TEST(SessionManagerTest, SharedPoolAcrossSessionsAndThreads) {
-  SessionManager manager(4);
-  EXPECT_EQ(manager.num_threads(), 4);
-  ASSERT_NE(manager.pool(), nullptr);
+TEST(SessionManagerTest, SessionsAreSharedAcrossThreads) {
+  SessionManager manager;
 
   // Concurrent GetOrCreate on the same name resolves to one session.
   std::vector<std::shared_ptr<WorkloadSession>> seen(8);
@@ -379,10 +343,28 @@ TEST(SessionManagerTest, SharedPoolAcrossSessionsAndThreads) {
   for (const auto& session : seen) distinct.insert(session.get());
   EXPECT_EQ(distinct.size(), 1u);
 
-  // Sessions created by the manager analyze on the shared pool and still
-  // match from-scratch results.
+  // Server threads share one session: concurrent checks and subset
+  // analyses serialize on its lock, agree with each other, and leave state
+  // that still matches from-scratch results.
   auto session = manager.GetOrCreate("sb", AnalysisSettings::AttrDepFk());
   ASSERT_TRUE(session->LoadWorkload(MakeSmallBank()).ok());
+  std::vector<int> robust(8, -1);
+  std::vector<size_t> maximal(8, 0);
+  threads.clear();
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&manager, &robust, &maximal, t] {
+      std::shared_ptr<WorkloadSession> mine = manager.Find("sb");
+      robust[t] = mine->Check().robust ? 1 : 0;
+      Result<SubsetReport> report = mine->Subsets();
+      if (report.ok()) maximal[t] = report.value().maximal_masks.size();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(robust[t], 0) << "thread " << t;  // SmallBank is not robust
+    EXPECT_EQ(maximal[t], maximal[0]) << "thread " << t;
+  }
+  EXPECT_GT(maximal[0], 0u);
   ExpectMatchesScratch(*session, "manager-owned smallbank session");
 }
 

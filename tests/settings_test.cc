@@ -20,7 +20,7 @@ TEST(SettingsStringTest, RoundTripsEveryCombination) {
       const AnalysisSettings settings = base.WithIsolation(level);
       Result<AnalysisSettings> parsed = AnalysisSettings::Parse(settings.ToString());
       ASSERT_TRUE(parsed.ok()) << settings.ToString() << ": " << parsed.error();
-      EXPECT_TRUE(parsed.value().SameAnalysis(settings)) << settings.ToString();
+      EXPECT_EQ(parsed.value(), settings) << settings.ToString();
       EXPECT_EQ(parsed.value().ToString(), settings.ToString());
     }
   }
@@ -42,7 +42,7 @@ TEST(SettingsStringTest, CanonicalStringsAreBackwardCompatible) {
 TEST(SettingsStringTest, ParseAcceptsExplicitMvrc) {
   Result<AnalysisSettings> parsed = AnalysisSettings::Parse("attr+fk+mvrc");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.value().SameAnalysis(AnalysisSettings::AttrDepFk()));
+  EXPECT_EQ(parsed.value(), AnalysisSettings::AttrDepFk());
 }
 
 TEST(SettingsStringTest, ParseReportsIsolationExplicitness) {
@@ -79,16 +79,12 @@ TEST(SettingsStringTest, DisplayNamesCarryIsolationSuffix) {
                "tpl dep @ rc");
 }
 
-TEST(SettingsStringTest, ThreadsAndIsolationAreOrthogonal) {
-  const AnalysisSettings settings =
-      AnalysisSettings::AttrDep().WithThreads(8).WithIsolation(IsolationLevel::kRc);
-  EXPECT_EQ(settings.num_threads, 8);
+TEST(SettingsStringTest, IsolationIsOrthogonalToGranularity) {
+  const AnalysisSettings settings = AnalysisSettings::AttrDep().WithIsolation(IsolationLevel::kRc);
   EXPECT_EQ(settings.isolation, IsolationLevel::kRc);
   EXPECT_EQ(settings.granularity, Granularity::kAttribute);
-  // num_threads is an execution knob: not encoded, not compared.
   EXPECT_EQ(settings.ToString(), "attr+rc");
-  EXPECT_TRUE(settings.SameAnalysis(settings.WithThreads(1)));
-  EXPECT_FALSE(settings.SameAnalysis(settings.WithIsolation(IsolationLevel::kMvrc)));
+  EXPECT_FALSE(settings == settings.WithIsolation(IsolationLevel::kMvrc));
 }
 
 }  // namespace

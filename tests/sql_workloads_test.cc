@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -58,13 +59,22 @@ std::multiset<std::string> EdgeStrings(const SummaryGraph& graph) {
   return out;
 }
 
-class SqlWorkloadEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, Workload (*)(),
-                                                 const char* (*)()>> {};
+// One benchmark in both constructions: the hand-built workload and its SQL
+// text. Printed by name only, so the test names carry no code addresses and
+// stay the same from build to build.
+struct SqlBenchmark {
+  const char* name;
+  Workload (*build)();
+  const char* (*sql)();
+};
+
+void PrintTo(const SqlBenchmark& benchmark, std::ostream* os) { *os << benchmark.name; }
+
+class SqlWorkloadEquivalence : public ::testing::TestWithParam<SqlBenchmark> {};
 
 TEST_P(SqlWorkloadEquivalence, StatementTablesMatch) {
-  Workload built = std::get<1>(GetParam())();
-  Workload parsed = MustParse(std::get<2>(GetParam())());
+  Workload built = GetParam().build();
+  Workload parsed = MustParse(GetParam().sql());
   ASSERT_EQ(built.programs.size(), parsed.programs.size());
   for (const Btp& program : built.programs) {
     ExpectSameStatements(built, program, parsed,
@@ -73,8 +83,8 @@ TEST_P(SqlWorkloadEquivalence, StatementTablesMatch) {
 }
 
 TEST_P(SqlWorkloadEquivalence, SummaryGraphsCoincide) {
-  Workload built = std::get<1>(GetParam())();
-  Workload parsed = MustParse(std::get<2>(GetParam())());
+  Workload built = GetParam().build();
+  Workload parsed = MustParse(GetParam().sql());
   for (AnalysisSettings settings :
        {AnalysisSettings::TupleDep(), AnalysisSettings::AttrDep(),
         AnalysisSettings::TupleDepFk(), AnalysisSettings::AttrDepFk()}) {
@@ -85,8 +95,8 @@ TEST_P(SqlWorkloadEquivalence, SummaryGraphsCoincide) {
 }
 
 TEST_P(SqlWorkloadEquivalence, RobustSubsetsCoincide) {
-  Workload built = std::get<1>(GetParam())();
-  Workload parsed = MustParse(std::get<2>(GetParam())());
+  Workload built = GetParam().build();
+  Workload parsed = MustParse(GetParam().sql());
   // Align parsed program order to the built one before mask comparison.
   std::vector<Btp> aligned;
   for (const Btp& program : built.programs) {
@@ -105,11 +115,11 @@ TEST_P(SqlWorkloadEquivalence, RobustSubsetsCoincide) {
 
 INSTANTIATE_TEST_SUITE_P(
     Benchmarks, SqlWorkloadEquivalence,
-    ::testing::Values(std::make_tuple("Auction", &MakeAuction, &AuctionSql),
-                      std::make_tuple("SmallBank", &MakeSmallBank, &SmallBankSql),
-                      std::make_tuple("Tpcc", &MakeTpcc, &TpccSql)),
+    ::testing::Values(SqlBenchmark{"Auction", &MakeAuction, &AuctionSql},
+                      SqlBenchmark{"SmallBank", &MakeSmallBank, &SmallBankSql},
+                      SqlBenchmark{"Tpcc", &MakeTpcc, &TpccSql}),
     [](const ::testing::TestParamInfo<SqlWorkloadEquivalence::ParamType>& info) {
-      return std::get<0>(info.param);
+      return std::string(info.param.name);
     });
 
 TEST(SqlWorkloadDetails, AuctionFigure2SpotChecks) {

@@ -2,10 +2,11 @@
 // semantics the analysis service builds on it: hits and misses are
 // accounted, revisions bump cached verdicts out exactly when a mutation
 // changes a program's incident edges, and fingerprints keyed under
-// different isolation levels never collide. The wide 128-bit currency is
+// different isolation levels never collide. The 128-bit fingerprints are
 // covered too: distinctness over exhaustively enumerated subset families,
-// per-member revision sensitivity, and — through a >32-program session —
-// cross-mutation cache hits in the core-guided regime.
+// mask/ProgramSet parity, per-member revision sensitivity, and — through a
+// >32-program session — cross-mutation cache hits in the core-guided
+// regime.
 
 #include <cstdint>
 #include <random>
@@ -28,16 +29,23 @@
 namespace mvrc {
 namespace {
 
+std::vector<std::pair<std::string, int64_t>> MakeMembers(int n, int64_t revision = 1) {
+  std::vector<std::pair<std::string, int64_t>> members;
+  for (int i = 0; i < n; ++i) members.emplace_back("P" + std::to_string(i), revision);
+  return members;
+}
+
 TEST(VerdictCacheTest, LookupMissThenHit) {
+  const WideFingerprint k1 = WideFingerprinter("ctx", 1, MakeMembers(3)).Of(uint32_t{0b101});
   VerdictCache cache;
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
+  EXPECT_FALSE(cache.Lookup(k1).has_value());
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 0);
 
-  cache.Store("k1", true);
+  cache.Store(k1, true);
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<bool> verdict = cache.Lookup("k1");
+  std::optional<bool> verdict = cache.Lookup(k1);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_TRUE(*verdict);
   EXPECT_EQ(cache.hits(), 1);
@@ -45,33 +53,36 @@ TEST(VerdictCacheTest, LookupMissThenHit) {
 }
 
 TEST(VerdictCacheTest, StoreOverwritesAndClearEmpties) {
+  const WideFingerprint k = WideFingerprinter("ctx", 1, MakeMembers(3)).Of(uint32_t{0b11});
   VerdictCache cache;
-  cache.Store("k", true);
-  cache.Store("k", false);
+  cache.Store(k, true);
+  cache.Store(k, false);
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<bool> verdict = cache.Lookup("k");
+  std::optional<bool> verdict = cache.Lookup(k);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_FALSE(*verdict);
 
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  EXPECT_FALSE(cache.Lookup(k).has_value());
   // Counters survive Clear (they describe the cache's lifetime service).
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
 }
 
 // Fingerprints under different isolation levels are distinct keys even for
-// the same program set, method and revision — the convention
-// WorkloadSession::FingerprintLocked implements by prefixing the settings
-// string.
+// the same program set, method and revision — the session passes the
+// settings string, which names the isolation level, as the context.
 TEST(VerdictCacheTest, IsolationLevelsDoNotCollide) {
   VerdictCache cache;
-  const std::string mvrc_key =
-      AnalysisSettings::AttrDepFk().ToString() + "|1|Monitor#1;Refresh#2;";
-  const std::string rc_key =
-      AnalysisSettings::AttrDepFk().WithIsolation(IsolationLevel::kRc).ToString() +
-      "|1|Monitor#1;Refresh#2;";
+  const std::vector<std::pair<std::string, int64_t>> members = {{"Monitor", 1},
+                                                                {"Refresh", 2}};
+  const WideFingerprint mvrc_key =
+      WideFingerprinter(AnalysisSettings::AttrDepFk().ToString(), 1, members).Of(uint32_t{3});
+  const WideFingerprint rc_key =
+      WideFingerprinter(AnalysisSettings::AttrDepFk().WithIsolation(IsolationLevel::kRc).ToString(),
+                        1, members)
+          .Of(uint32_t{3});
   ASSERT_NE(mvrc_key, rc_key);
   cache.Store(mvrc_key, false);
   cache.Store(rc_key, true);
@@ -80,13 +91,7 @@ TEST(VerdictCacheTest, IsolationLevelsDoNotCollide) {
   EXPECT_EQ(cache.Lookup(rc_key), std::optional<bool>(true));
 }
 
-// --- The wide 128-bit currency. -------------------------------------------
-
-std::vector<std::pair<std::string, int64_t>> MakeMembers(int n, int64_t revision = 1) {
-  std::vector<std::pair<std::string, int64_t>> members;
-  for (int i = 0; i < n; ++i) members.emplace_back("P" + std::to_string(i), revision);
-  return members;
-}
+// --- Fingerprints past the uint32_t mask range. ---------------------------
 
 TEST(VerdictCacheWideTest, WideLookupStoreAndClear) {
   const WideFingerprinter fp("ctx", 1, MakeMembers(40));
@@ -102,9 +107,6 @@ TEST(VerdictCacheWideTest, WideLookupStoreAndClear) {
   EXPECT_EQ(cache.Lookup(fp.Of(subset)), std::optional<bool>(true));
   EXPECT_EQ(cache.hits(), 1);
 
-  // Narrow and wide entries coexist and are counted together.
-  cache.Store("narrow-key", false);
-  EXPECT_EQ(cache.size(), 2u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Lookup(fp.Of(subset)).has_value());
@@ -137,6 +139,20 @@ TEST(VerdictCacheWideTest, FingerprintsAreCollisionFreeOverEnumeratedFamilies) {
       if (!distinct.insert(subset.ToIndices()).second) continue;
       const WideFingerprint f = fp.Of(subset);
       EXPECT_TRUE(seen.insert({f.hi, f.lo}).second) << "collision at sample " << s;
+    }
+  }
+}
+
+// The mask overload hashes exactly like the ProgramSet one, so the
+// exhaustive sweep's hooks and the core-guided search share cache entries.
+TEST(VerdictCacheWideTest, MaskAndProgramSetFingerprintsAgree) {
+  for (int n : {1, 5, 20, 32}) {
+    const WideFingerprinter fp("ctx", 1, MakeMembers(n));
+    std::mt19937_64 rng(static_cast<uint64_t>(n));
+    for (int s = 0; s < 200; ++s) {
+      const uint32_t mask =
+          n == 32 ? static_cast<uint32_t>(rng()) : static_cast<uint32_t>(rng()) & ((1u << n) - 1);
+      EXPECT_EQ(fp.Of(mask), fp.Of(ProgramSet::FromMask(mask, n))) << "n=" << n << " mask=" << mask;
     }
   }
 }
@@ -231,6 +247,40 @@ TEST(VerdictCacheSessionTest, IsolationLevelsKeepIndependentVerdicts) {
   EXPECT_TRUE(rc_session.Check().from_cache);
   EXPECT_FALSE(mvrc_session.Check().robust);
   EXPECT_TRUE(rc_session.Check().robust);
+}
+
+// One key type serves the whole session: a check after a subset analysis is
+// answered from the cache in both regimes. A check before the core-guided
+// search leaves the search's query count unchanged, so a session's first
+// `subsets` reports what a from-scratch search reports.
+TEST(VerdictCacheSessionTest, CheckSharesTheSubsetAnalysisCache) {
+  {
+    WorkloadSession session("narrow", AnalysisSettings::AttrDepFk());
+    ASSERT_TRUE(session.LoadWorkload(MakeSmallBank()).ok());
+    ASSERT_TRUE(session.Subsets().ok());
+    const CheckResult check = session.Check();
+    EXPECT_TRUE(check.from_cache);
+    EXPECT_FALSE(check.robust);
+  }
+  Workload workload = MakeAuctionN(12);  // 24 programs: core-guided regime
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();
+  WorkloadSession after("after", settings);
+  ASSERT_TRUE(after.LoadWorkload(workload).ok());
+  Result<SubsetReport> cold = after.Subsets();
+  ASSERT_TRUE(cold.ok());
+  const CheckResult check = after.Check();
+  EXPECT_TRUE(check.from_cache);
+  EXPECT_FALSE(check.robust);
+  EXPECT_TRUE(check.witness.empty());
+
+  WorkloadSession before("before", settings);
+  ASSERT_TRUE(before.LoadWorkload(workload).ok());
+  EXPECT_FALSE(before.Check().from_cache);
+  EXPECT_TRUE(before.Check().from_cache);
+  Result<SubsetReport> first = before.Subsets();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().detector_queries, cold.value().detector_queries);
+  EXPECT_EQ(first.value().cores, cold.value().cores);
 }
 
 // Cross-mutation memoization past 32 programs: a 34-program session's
