@@ -59,10 +59,8 @@ int main() {
   workload.push_back(std::move(place_bid));
 
   // 3. Run the detector.
-  bool robust =
-      IsRobustAgainstMvrc(workload, AnalysisSettings::AttrDepFk(), Method::kTypeII);
-  bool type1_robust =
-      IsRobustAgainstMvrc(workload, AnalysisSettings::AttrDepFk(), Method::kTypeI);
+  bool robust = IsRobustUnder(workload, AnalysisSettings::AttrDepFk(), Method::kTypeII);
+  bool type1_robust = IsRobustUnder(workload, AnalysisSettings::AttrDepFk(), Method::kTypeI);
   std::printf("{FindBids, PlaceBid} robust against MVRC (Algorithm 2): %s\n",
               robust ? "yes" : "no");
   std::printf("  ... the type-I baseline [3] would say:               %s\n",

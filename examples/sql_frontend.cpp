@@ -70,7 +70,7 @@ int main() {
   for (AnalysisSettings settings :
        {AnalysisSettings::TupleDep(), AnalysisSettings::AttrDep(),
         AnalysisSettings::TupleDepFk(), AnalysisSettings::AttrDepFk()}) {
-    bool robust = IsRobustAgainstMvrc(core, settings, Method::kTypeII);
+    bool robust = IsRobustUnder(core, settings, Method::kTypeII);
     std::printf("  %-14s %s\n", settings.name(), robust ? "robust" : "not robust");
   }
 

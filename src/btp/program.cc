@@ -70,25 +70,10 @@ void Btp::AddFkConstraint(const Schema& schema, StmtId parent, ForeignKeyId fk, 
   fk_constraints_.push_back({parent, fk, child});
 }
 
-Btp::NodeId Btp::EffectiveRoot() const {
-  MVRC_CHECK_MSG(num_statements() > 0, "program has no statements");
-  if (root_ >= 0) return root_;
-  // Lazily materialize the linear default structure. nodes_ is mutable in
-  // spirit here; keep const interface by building on demand into a copy-free
-  // cache. Simplest correct approach: require callers to treat the returned
-  // structure via node(); we append the default nodes once.
-  Btp* self = const_cast<Btp*>(this);
-  std::vector<NodeId> children;
-  children.reserve(statements_.size());
-  for (StmtId q = 0; q < num_statements(); ++q) children.push_back(self->Stmt(q));
-  self->root_ = self->Seq(std::move(children));
-  return root_;
-}
-
 bool Btp::IsLinear() const {
-  NodeId root = EffectiveRoot();
+  if (root_ < 0) return true;  // the default all-statements sequence
   // Walk the tree; only kStmt and kSeq are linear.
-  std::vector<NodeId> stack{root};
+  std::vector<NodeId> stack{root_};
   while (!stack.empty()) {
     NodeId id = stack.back();
     stack.pop_back();

@@ -80,10 +80,11 @@ class Btp {
 
   const std::vector<FkConstraint>& fk_constraints() const { return fk_constraints_; }
 
-  /// The effective root: the declared root, or the linear all-statements
-  /// sequence when Finish() was never called. Must not be called on a
-  /// statement-less program.
-  NodeId EffectiveRoot() const;
+  /// The declared root, or -1 when Finish() was never called: the program
+  /// is then the linear sequence of all statements in insertion order.
+  /// Every const accessor is a pure read, so one Btp may be unfolded from
+  /// several threads at once.
+  NodeId root() const { return root_; }
 
   const Node& node(NodeId id) const { return nodes_.at(id); }
 

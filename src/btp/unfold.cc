@@ -121,10 +121,22 @@ std::vector<OccFkConstraint> BindConstraints(const Btp& program, const Fragment&
   return bound;
 }
 
+// The unfoldings of the whole program: its declared root's, or the one
+// all-statements sequence of a program that never called Finish().
+std::vector<Fragment> UnfoldProgram(const Btp& program) {
+  MVRC_CHECK_MSG(program.num_statements() > 0, "program has no statements");
+  if (program.root() >= 0) return UnfoldNode(program, program.root());
+  Fragment linear;
+  for (StmtId q = 0; q < program.num_statements(); ++q) {
+    linear.push_back(Occurrence{program.statement(q), q, {}});
+  }
+  return {std::move(linear)};
+}
+
 }  // namespace
 
 std::vector<Ltp> UnfoldAtMost2(const Btp& program) {
-  std::vector<Fragment> fragments = UnfoldNode(program, program.EffectiveRoot());
+  std::vector<Fragment> fragments = UnfoldProgram(program);
   std::vector<Ltp> ltps;
   ltps.reserve(fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {

@@ -2,27 +2,23 @@
 
 #include <sstream>
 
-#include "btp/unfold.h"
-#include "summary/build_summary.h"
-
 namespace mvrc {
 
-std::string CertificationOutcome::Describe(const Workload& workload) const {
+std::string CertificationOutcome::Describe(const SummaryGraph& graph,
+                                           const Schema& schema) const {
   std::ostringstream os;
   if (IsCertifiedRobust()) {
     os << "robust against mvrc (sound verdict; every allowed schedule is "
           "serializable)\n";
     return os.str();
   }
-  SummaryGraph graph =
-      BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
   os << "not detected robust\n";
   if (witness.has_value()) {
     os << witness->Describe(graph) << "\n";
   }
   if (IsCertifiedNonRobust()) {
     os << "rejection certified by a concrete schedule:\n"
-       << counterexample->Describe(workload.schema);
+       << counterexample->Describe(schema);
   } else {
     os << "no counterexample within the search bounds ("
        << search_stats.schedules_checked
@@ -31,12 +27,9 @@ std::string CertificationOutcome::Describe(const Workload& workload) const {
   return os.str();
 }
 
-CertificationOutcome CertifyRobustness(const Workload& workload,
-                                       const AnalysisSettings& settings,
+CertificationOutcome CertifyRobustness(const SummaryGraph& graph,
                                        const SearchOptions& search_options) {
   CertificationOutcome outcome;
-  std::vector<Ltp> ltps = UnfoldAtMost2(workload.programs);
-  SummaryGraph graph = BuildSummaryGraph(std::move(ltps), settings);
   outcome.witness = FindTypeIICycle(graph);
   outcome.detector_robust = !outcome.witness.has_value();
   if (outcome.detector_robust) return outcome;
@@ -44,7 +37,7 @@ CertificationOutcome CertifyRobustness(const Workload& workload,
   // Witness-guided phase: the programs on the witness cycle are the most
   // likely participants of a concrete counterexample — try their multiset
   // first (with a slice of the budget) before the general enumeration.
-  std::vector<Ltp> programs = UnfoldAtMost2(workload.programs);
+  const std::vector<Ltp>& programs = graph.programs();
   std::vector<int> on_cycle;
   for (int p : {outcome.witness->e1.from_program, outcome.witness->e1.to_program,
                 outcome.witness->e3.from_program, outcome.witness->e3.to_program,

@@ -11,8 +11,9 @@
 #include <string>
 
 #include "robust/detector.h"
+#include "schema/schema.h"
 #include "search/counterexample.h"
-#include "workloads/workload.h"
+#include "summary/summary_graph.h"
 
 namespace mvrc {
 
@@ -32,13 +33,18 @@ struct CertificationOutcome {
     return !detector_robust && !counterexample.has_value();
   }
 
-  std::string Describe(const Workload& workload) const;
+  /// Renders the outcome; `graph` is the one certified, `schema` the
+  /// workload's (for the counterexample's tuples).
+  std::string Describe(const SummaryGraph& graph, const Schema& schema) const;
 };
 
-/// Runs the detector; when it rejects, attempts to certify the rejection by
-/// searching for a counterexample within `search_options`.
-CertificationOutcome CertifyRobustness(const Workload& workload,
-                                       const AnalysisSettings& settings,
+/// Runs the type-II detector on `graph` — a summary graph over Unfold≤2 of
+/// the workload, e.g. WorkloadSession::Graph() — and, when it rejects,
+/// attempts to certify the rejection by searching for a counterexample over
+/// the graph's LTPs within `search_options`. Both halves use MVRC semantics
+/// (the schedule search knows no other); the graph's edges do not depend on
+/// the isolation level it was built for.
+CertificationOutcome CertifyRobustness(const SummaryGraph& graph,
                                        const SearchOptions& search_options = {});
 
 }  // namespace mvrc

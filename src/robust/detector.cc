@@ -285,9 +285,4 @@ bool IsRobustUnder(const std::vector<Btp>& programs, const AnalysisSettings& set
   return IsRobust(BuildSummaryGraph(programs, settings), method, settings.policy());
 }
 
-bool IsRobustAgainstMvrc(const std::vector<Btp>& programs, const AnalysisSettings& settings,
-                         Method method) {
-  return IsRobustUnder(programs, settings, method);
-}
-
 }  // namespace mvrc

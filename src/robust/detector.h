@@ -26,7 +26,7 @@
 // follows Algorithm 2 literally (O(|E|^3) edge triples with per-pair
 // reachability); FindTypeIICycle factors the reachability conjunction
 // through boolean matrix products and is the default. They are
-// equivalence-tested and compared in bench/bench_ablation.
+// equivalence-tested in tests/detector_test.cc.
 //
 // The Find* functions are the per-closure building blocks; IsRobust and
 // RunCycleTest are the policy-correct entry points that pick the right
@@ -139,11 +139,6 @@ CycleTestOutcome RunCycleTest(const SummaryGraph& graph, Method method,
 /// settings.isolation's policy.
 bool IsRobustUnder(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                    Method method = Method::kTypeII);
-
-/// Historical name of IsRobustUnder, kept for the many existing call sites;
-/// the isolation level still comes from settings (default MVRC).
-bool IsRobustAgainstMvrc(const std::vector<Btp>& programs, const AnalysisSettings& settings,
-                         Method method = Method::kTypeII);
 
 }  // namespace mvrc
 

@@ -1,12 +1,19 @@
-#include "robust/report.h"
+#include "service/workload_report.h"
 
 #include <sstream>
 
-#include "btp/unfold.h"
-#include "robust/core_search.h"
-#include "summary/build_summary.h"
+#include "util/check.h"
 
 namespace mvrc {
+
+const VerdictEntry& WorkloadReport::Verdict(const AnalysisSettings& settings,
+                                            Method method) const {
+  for (const VerdictEntry& entry : verdicts) {
+    if (entry.settings == settings && entry.method == method) return entry;
+  }
+  MVRC_CHECK_MSG(false, "no such verdict in the report");
+  return verdicts.front();
+}
 
 std::string WorkloadReport::ToText() const {
   std::ostringstream os;
@@ -62,50 +69,50 @@ Json WorkloadReport::ToJson() const {
   return json;
 }
 
-WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
-                           IsolationLevel isolation) {
+Result<ReportSessions> OpenReportSessions(const Workload& workload, IsolationLevel isolation) {
+  ReportSessions sessions;
+  for (AnalysisSettings settings : {AnalysisSettings::TupleDep(), AnalysisSettings::AttrDep(),
+                                    AnalysisSettings::TupleDepFk(), AnalysisSettings::AttrDepFk()}) {
+    sessions.push_back(
+        std::make_unique<WorkloadSession>(workload.name, settings.WithIsolation(isolation)));
+    Status loaded = sessions.back()->LoadWorkload(workload);
+    if (!loaded.ok()) return Result<ReportSessions>::Error(loaded.error());
+  }
+  return sessions;
+}
+
+WorkloadReport BuildReport(const Workload& workload, const ReportSessions& sessions,
+                           bool analyze_subsets) {
   WorkloadReport report;
   report.workload_name = workload.name.empty() ? "(unnamed)" : workload.name;
-  report.isolation = isolation;
+  report.isolation = sessions.back()->settings().isolation;
   report.num_programs = static_cast<int>(workload.programs.size());
-  report.num_unfolded = static_cast<int>(UnfoldAtMost2(workload.programs).size());
 
-  for (AnalysisSettings settings :
-       {AnalysisSettings::TupleDep().WithIsolation(isolation),
-        AnalysisSettings::AttrDep().WithIsolation(isolation),
-        AnalysisSettings::TupleDepFk().WithIsolation(isolation),
-        AnalysisSettings::AttrDepFk().WithIsolation(isolation)}) {
-    SummaryGraph graph = BuildSummaryGraph(UnfoldAtMost2(workload.programs), settings);
+  for (const std::unique_ptr<WorkloadSession>& session : sessions) {
     for (Method method : {Method::kTypeII, Method::kTypeI}) {
+      CheckResult check = session->Check(method);
+      report.num_unfolded = check.num_unfolded;
       VerdictEntry entry;
-      entry.settings = settings;
+      entry.settings = session->settings();
       entry.method = method;
-      entry.num_edges = graph.num_edges();
-      entry.num_counterflow_edges = graph.num_counterflow_edges();
-      CycleTestOutcome outcome = RunCycleTest(graph, method, settings.policy());
-      entry.robust = outcome.robust;
-      entry.witness = std::move(outcome.witness);
+      entry.robust = check.robust;
+      entry.num_edges = check.num_edges;
+      entry.num_counterflow_edges = check.num_counterflow_edges;
+      entry.witness = std::move(check.witness);
       report.verdicts.push_back(std::move(entry));
     }
   }
 
-  if (analyze_subsets && report.num_programs >= 1 &&
-      report.num_programs <= kMaxCoreSearchPrograms) {
-    // The exhaustive sweep serves workloads in its range; larger ones take
-    // the core-guided search, whose maximal sets are the same subsets in the
-    // wide representation.
-    const AnalysisSettings subset_settings = AnalysisSettings::AttrDepFk().WithIsolation(isolation);
-    SubsetReport subsets =
-        (report.num_programs <= kMaxSubsetPrograms
-             ? TryAnalyzeSubsets(workload.programs, subset_settings, Method::kTypeII)
-             : TryAnalyzeSubsetsCoreGuided(workload.programs, subset_settings, Method::kTypeII))
-            .value();
-    std::vector<std::string> names = workload.abbreviations;
-    if (names.size() != workload.programs.size()) {
-      names.clear();
-      for (const Btp& program : workload.programs) names.push_back(program.name());
+  if (analyze_subsets) {
+    Result<SubsetReport> subsets = sessions.back()->Subsets(Method::kTypeII);
+    if (subsets.ok()) {
+      std::vector<std::string> names = workload.abbreviations;
+      if (names.size() != workload.programs.size()) {
+        names.clear();
+        for (const Btp& program : workload.programs) names.push_back(program.name());
+      }
+      report.maximal_robust_subsets = subsets.value().DescribeMaximal(names);
     }
-    report.maximal_robust_subsets = subsets.DescribeMaximal(names);
   }
   return report;
 }

@@ -2,9 +2,16 @@
 //
 // Usage:
 //   mvrcdet [options] <workload.sql>
-//   mvrcdet [options] --builtin=<smallbank|tpcc|auction>
+//   mvrcdet [options] --builtin=<smallbank|tpcc|auction|auction<N>>
+//
+// Every answer comes from WorkloadSessions, the objects mvrcd serves: one
+// session per granularity/FK setting at the chosen isolation level, each
+// loaded once (service/workload_report.h).
 //
 // Options:
+//   --builtin=NAME a predefined workload (workloads/builtins.h); auction<N>
+//                  is the Auction(N) scaling family, e.g. --builtin=auction3
+//                  --dot prints the paper's Figure 19
 //   --subsets      also compute maximal robust subsets (≤ 128 programs:
 //                  exhaustive sweep through 20, core-guided search above)
 //   --dot          print the summary graph (attr dep + FK) as Graphviz DOT
@@ -19,10 +26,10 @@
 //   --json         print the report as a single JSON object instead of text
 //                  (see WorkloadReport::ToJson; --dot/--certify/--programs
 //                  keep their text output and are best not combined). The
-//                  object gains a "session_stats" block: the incremental
-//                  session counters (workload_session.h SessionStats) of a
-//                  throwaway session replaying the workload
-//   --trace=FILE   record phase spans (build/detect/core-search) and dump
+//                  object gains a "session_stats" block: the counters
+//                  (workload_session.h SessionStats) of the attr dep + FK
+//                  session that answered the report
+//   --trace=FILE   record phase spans (cells/check/core-search) and dump
 //                  Chrome trace_event JSON on exit — load in
 //                  chrome://tracing or https://ui.perfetto.dev
 //   --metrics-json=FILE
@@ -42,13 +49,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/certify.h"
-#include "robust/report.h"
-#include "service/workload_session.h"
+#include "service/workload_report.h"
 #include "sql/analyzer.h"
-#include "summary/build_summary.h"
-#include "workloads/auction.h"
-#include "workloads/smallbank.h"
-#include "workloads/tpcc.h"
+#include "workloads/builtins.h"
 
 namespace {
 
@@ -57,7 +60,8 @@ int Usage() {
                "usage: mvrcdet [--subsets] [--dot] [--certify] [--programs]\n"
                "               [--isolation=mvrc|rc] [--json] [--trace=FILE]\n"
                "               [--metrics-json=FILE]\n"
-               "               (<workload.sql> | --builtin=<smallbank|tpcc|auction>)\n");
+               "               (<workload.sql> |\n"
+               "                --builtin=<smallbank|tpcc|auction|auction<N>>)\n");
   return 2;
 }
 
@@ -116,15 +120,9 @@ int main(int argc, char** argv) {
 
   Workload workload;
   if (!builtin.empty()) {
-    if (builtin == "smallbank") {
-      workload = MakeSmallBank();
-    } else if (builtin == "tpcc") {
-      workload = MakeTpcc();
-    } else if (builtin == "auction") {
-      workload = MakeAuction();
-    } else {
-      return Usage();
-    }
+    std::optional<Workload> made = MakeBuiltinWorkload(builtin);
+    if (!made.has_value()) return Usage();
+    workload = std::move(*made);
   } else {
     std::ifstream input(file);
     if (!input) {
@@ -149,41 +147,34 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  WorkloadReport report = BuildReport(workload, subsets, isolation);
+  Result<ReportSessions> opened = OpenReportSessions(workload, isolation);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "mvrcdet: %s\n", opened.error().c_str());
+    return 2;
+  }
+  const ReportSessions& sessions = opened.value();
+  WorkloadSession& attr_fk = *sessions.back();
+  WorkloadReport report = BuildReport(workload, sessions, subsets);
   if (json) {
     Json doc = report.ToJson();
-    // Replay the workload through a throwaway incremental session so the
-    // report carries the SessionStats block (one rendering shared with the
-    // protocol's `stats` and `metrics` responses).
-    WorkloadSession session(workload.name.empty() ? "mvrcdet" : workload.name,
-                            AnalysisSettings::AttrDepFk().WithIsolation(isolation));
-    if (session.LoadWorkload(workload).ok()) {
-      session.Check(Method::kTypeII);
-      doc.Set("session_stats", session.stats().ToJson());
-    }
+    doc.Set("session_stats", attr_fk.stats().ToJson());
     std::printf("%s\n", doc.Dump().c_str());
   } else {
     std::printf("%s", report.ToText().c_str());
   }
 
-  bool robust = IsRobustUnder(workload.programs,
-                              AnalysisSettings::AttrDepFk().WithIsolation(isolation),
-                              Method::kTypeII);
+  const bool robust = report.Verdict(attr_fk.settings(), Method::kTypeII).robust;
   if (!robust && certify) {
     SearchOptions options;
     options.domain_size = 2;
     options.max_txns = 3;
     options.max_schedules = 2'000'000;
-    CertificationOutcome outcome =
-        CertifyRobustness(workload, AnalysisSettings::AttrDepFk(), options);
-    std::printf("\ncertification:\n%s", outcome.Describe(workload).c_str());
+    const SummaryGraph graph = attr_fk.Graph();
+    CertificationOutcome outcome = CertifyRobustness(graph, options);
+    std::printf("\ncertification:\n%s", outcome.Describe(graph, workload.schema).c_str());
   }
 
-  if (dot) {
-    SummaryGraph graph = BuildSummaryGraph(
-        workload.programs, AnalysisSettings::AttrDepFk().WithIsolation(isolation));
-    std::printf("\n%s", graph.ToDot(workload.name).c_str());
-  }
+  if (dot) std::printf("\n%s", attr_fk.Graph().ToDot(workload.name).c_str());
 
   if (!trace_path.empty()) {
     TraceBuffer::Global().Stop();

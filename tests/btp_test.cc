@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "btp/unfold.h"
 
 namespace mvrc {
@@ -33,6 +35,30 @@ TEST_F(BtpTest, DefaultStructureIsLinearSequence) {
   std::vector<Ltp> ltps = UnfoldAtMost2(program);
   ASSERT_EQ(ltps.size(), 1u);
   EXPECT_EQ(ltps[0].size(), 2);
+}
+
+TEST_F(BtpTest, ConcurrentUnfoldOfOneConstProgram) {
+  // A program without Finish() is the default linear sequence; unfolding it
+  // must only read the shared const Btp, so two threads may do it at once
+  // (run under ThreadSanitizer in CI).
+  Btp program("P");
+  for (int i = 0; i < 8; ++i) program.AddStatement(Sel("q" + std::to_string(i), parent_));
+  const Btp& shared = program;
+  std::vector<Ltp> unfolded[2];
+  std::thread first([&] {
+    for (int round = 0; round < 200; ++round) unfolded[0] = UnfoldAtMost2(shared);
+  });
+  std::thread second([&] {
+    for (int round = 0; round < 200; ++round) unfolded[1] = UnfoldAtMost2(shared);
+  });
+  first.join();
+  second.join();
+  for (const std::vector<Ltp>& ltps : unfolded) {
+    ASSERT_EQ(ltps.size(), 1u);
+    EXPECT_EQ(ltps[0].size(), 8);
+  }
+  EXPECT_EQ(shared.root(), -1);
+  EXPECT_TRUE(shared.IsLinear());
 }
 
 TEST_F(BtpTest, IsLinearDetectsControlFlow) {

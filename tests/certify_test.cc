@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "summary/build_summary.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
@@ -9,14 +10,19 @@
 namespace mvrc {
 namespace {
 
+SummaryGraph AttrDepFkGraph(const Workload& workload) {
+  return BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
+}
+
 TEST(CertifyTest, AuctionCertifiedRobust) {
-  CertificationOutcome outcome =
-      CertifyRobustness(MakeAuction(), AnalysisSettings::AttrDepFk());
+  const Workload auction = MakeAuction();
+  const SummaryGraph graph = AttrDepFkGraph(auction);
+  CertificationOutcome outcome = CertifyRobustness(graph);
   EXPECT_TRUE(outcome.IsCertifiedRobust());
   EXPECT_FALSE(outcome.IsCertifiedNonRobust());
   EXPECT_FALSE(outcome.IsPossibleFalseNegative());
   EXPECT_FALSE(outcome.witness.has_value());
-  EXPECT_NE(outcome.Describe(MakeAuction()).find("robust"), std::string::npos);
+  EXPECT_NE(outcome.Describe(graph, auction.schema).find("robust"), std::string::npos);
 }
 
 TEST(CertifyTest, WriteCheckCertifiedNonRobust) {
@@ -27,12 +33,12 @@ TEST(CertifyTest, WriteCheckCertifiedNonRobust) {
   wc_only.programs.push_back(workload.programs[4]);
   SearchOptions options;
   options.domain_size = 1;
-  CertificationOutcome outcome =
-      CertifyRobustness(wc_only, AnalysisSettings::AttrDepFk(), options);
+  const SummaryGraph graph = AttrDepFkGraph(wc_only);
+  CertificationOutcome outcome = CertifyRobustness(graph, options);
   EXPECT_FALSE(outcome.detector_robust);
   ASSERT_TRUE(outcome.witness.has_value());
   EXPECT_TRUE(outcome.IsCertifiedNonRobust());
-  std::string description = outcome.Describe(wc_only);
+  std::string description = outcome.Describe(graph, wc_only.schema);
   EXPECT_NE(description.find("certified"), std::string::npos);
 }
 
@@ -47,8 +53,8 @@ TEST(CertifyTest, WitnessGuidedSearchFindsSmallBankAnomalyQuickly) {
   am_bal.programs.push_back(workload.programs[1]);
   SearchOptions options;
   options.domain_size = 2;
-  CertificationOutcome outcome =
-      CertifyRobustness(am_bal, AnalysisSettings::AttrDepFk(), options);
+  const SummaryGraph graph = AttrDepFkGraph(am_bal);
+  CertificationOutcome outcome = CertifyRobustness(graph, options);
   EXPECT_TRUE(outcome.IsCertifiedNonRobust());
   EXPECT_GT(outcome.search_stats.bindings_checked, 0);
 }
@@ -65,12 +71,12 @@ TEST(CertifyTest, DeliveryIsPossibleFalseNegativeUnderTinyBudget) {
   options.domain_size = 1;
   options.enumerate_pred_subsets = false;
   options.max_schedules = 10;  // deliberately tiny
-  CertificationOutcome outcome =
-      CertifyRobustness(delivery_only, AnalysisSettings::AttrDepFk(), options);
+  const SummaryGraph graph = AttrDepFkGraph(delivery_only);
+  CertificationOutcome outcome = CertifyRobustness(graph, options);
   EXPECT_FALSE(outcome.detector_robust);
   if (!outcome.counterexample.has_value()) {
     EXPECT_TRUE(outcome.IsPossibleFalseNegative());
-    EXPECT_NE(outcome.Describe(delivery_only).find("false negative"),
+    EXPECT_NE(outcome.Describe(graph, delivery_only.schema).find("false negative"),
               std::string::npos);
   }
 }

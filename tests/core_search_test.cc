@@ -393,6 +393,34 @@ TEST(CoreSearchBuiltinTest, MatchesExhaustiveOnSmallBankAndAuction) {
   }
 }
 
+// Paper §7.2: SmallBank has no false negatives. Under attr dep + FK /
+// type-II the search finds exactly the three minimal anomaly cores — each
+// certified by a concrete MVRC schedule in counterexample_test.cc — so every
+// rejected subset contains a certified core: 10 robust, 21 non-robust.
+TEST(CoreSearchBuiltinTest, SmallBankCoresAreTheCertifiedAnomalyCores) {
+  const Workload smallbank = MakeSmallBank();
+  Result<SubsetReport> result = TryAnalyzeSubsetsCoreGuided(
+      smallbank.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII);
+  ASSERT_TRUE(result.ok());
+  const SubsetReport& report = result.value();
+  std::vector<std::string> cores = report.DescribeCores(smallbank.abbreviations);
+  std::sort(cores.begin(), cores.end());
+  EXPECT_EQ(cores, (std::vector<std::string>{"{Am, Bal}", "{Bal, DC, TS}", "{WC}"}));
+
+  // Program indices: Am=0, Bal=1, DC=2, TS=3, WC=4.
+  const uint32_t certified_cores[] = {1u << 4, (1u << 0) | (1u << 1),
+                                      (1u << 1) | (1u << 2) | (1u << 3)};
+  int robust = 0, non_robust = 0;
+  for (uint32_t mask = 1; mask < (1u << 5); ++mask) {
+    bool contains_core = false;
+    for (uint32_t core : certified_cores) contains_core |= (mask & core) == core;
+    EXPECT_EQ(report.IsRobustSubset(mask), !contains_core) << "mask=" << mask;
+    ++(report.IsRobustSubset(mask) ? robust : non_robust);
+  }
+  EXPECT_EQ(robust, 10);
+  EXPECT_EQ(non_robust, 21);
+}
+
 // --- Entry-point parity: TryAnalyzeSubsetsCoreGuided builds the same graph
 // pipeline as TryAnalyzeSubsets.
 

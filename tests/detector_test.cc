@@ -156,10 +156,8 @@ TEST(DetectorWorkloadTest, AuctionIsRobustWithTypeIIButNotTypeI) {
   // §2: the summary graph of {FindBids, PlaceBid} contains a type-I cycle
   // but no type-II cycle.
   Workload auction = MakeAuction();
-  EXPECT_TRUE(
-      IsRobustAgainstMvrc(auction.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII));
-  EXPECT_FALSE(
-      IsRobustAgainstMvrc(auction.programs, AnalysisSettings::AttrDepFk(), Method::kTypeI));
+  EXPECT_TRUE(IsRobustUnder(auction.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII));
+  EXPECT_FALSE(IsRobustUnder(auction.programs, AnalysisSettings::AttrDepFk(), Method::kTypeI));
 }
 
 TEST(DetectorWorkloadTest, NaiveAndOptimizedAgreeOnWorkloads) {

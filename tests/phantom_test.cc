@@ -66,10 +66,8 @@ TEST(PhantomTest, MonitorAloneAndRegisterAloneAreRobust) {
   Workload workload = MakePhantomWorkload();
   std::vector<Btp> monitor_only{workload.programs[0]};
   std::vector<Btp> register_only{workload.programs[1]};
-  EXPECT_TRUE(IsRobustAgainstMvrc(monitor_only, AnalysisSettings::AttrDepFk(),
-                                  Method::kTypeII));
-  EXPECT_TRUE(IsRobustAgainstMvrc(register_only, AnalysisSettings::AttrDepFk(),
-                                  Method::kTypeII));
+  EXPECT_TRUE(IsRobustUnder(monitor_only, AnalysisSettings::AttrDepFk(), Method::kTypeII));
+  EXPECT_TRUE(IsRobustUnder(register_only, AnalysisSettings::AttrDepFk(), Method::kTypeII));
 }
 
 TEST(PhantomTest, SearchProducesConcretePhantomSchedule) {

@@ -210,10 +210,8 @@ TEST_P(RandomWorkloadProperties, DetectorInvariants) {
   }
 
   // P3: tuple-granularity robust => attribute-granularity robust.
-  if (IsRobustAgainstMvrc(workload.programs, AnalysisSettings::TupleDepFk(),
-                          Method::kTypeII)) {
-    EXPECT_TRUE(IsRobustAgainstMvrc(workload.programs, AnalysisSettings::AttrDepFk(),
-                                    Method::kTypeII));
+  if (IsRobustUnder(workload.programs, AnalysisSettings::TupleDepFk(), Method::kTypeII)) {
+    EXPECT_TRUE(IsRobustUnder(workload.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII));
   }
 
   // P7: unfolded LTPs are well-formed.

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "robust/report.h"
 #include "robust/subsets.h"
+#include "service/workload_report.h"
 #include "summary/build_summary.h"
 #include "workloads/auction.h"
 #include "workloads/tpcc.h"
@@ -24,8 +24,7 @@ TEST(RobustnessMiscTest, SubsetAnalysisAgreesWithDirectDetection) {
       for (size_t i = 0; i < workload.programs.size(); ++i) {
         if ((mask >> i) & 1) subset.push_back(workload.programs[i]);
       }
-      EXPECT_EQ(report.IsRobustSubset(mask),
-                IsRobustAgainstMvrc(subset, settings, Method::kTypeII))
+      EXPECT_EQ(report.IsRobustSubset(mask), IsRobustUnder(subset, settings, Method::kTypeII))
           << settings.name() << " mask=" << mask;
     }
   }
@@ -62,7 +61,9 @@ TEST(RobustnessMiscTest, InsertOnlyWorkloadIsRobust) {
 }
 
 TEST(RobustnessMiscTest, TpccReportHeadline) {
-  WorkloadReport report = BuildReport(MakeTpcc(), /*analyze_subsets=*/true);
+  const Workload tpcc = MakeTpcc();
+  WorkloadReport report = BuildReport(
+      tpcc, OpenReportSessions(tpcc, IsolationLevel::kMvrc).value(), /*analyze_subsets=*/true);
   EXPECT_EQ(report.num_unfolded, 13);
   ASSERT_TRUE(report.maximal_robust_subsets.has_value());
   ASSERT_EQ(report.maximal_robust_subsets->size(), 2u);

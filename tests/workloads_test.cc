@@ -249,8 +249,7 @@ TEST(RobustSubsetsTest, TpccDeliveryAloneNotDetected) {
   std::vector<Btp> delivery_only;
   delivery_only.push_back(workload.programs[3]);
   ASSERT_EQ(delivery_only[0].name(), "Delivery");
-  EXPECT_FALSE(IsRobustAgainstMvrc(delivery_only, AnalysisSettings::AttrDepFk(),
-                                   Method::kTypeII));
+  EXPECT_FALSE(IsRobustUnder(delivery_only, AnalysisSettings::AttrDepFk(), Method::kTypeII));
 }
 
 }  // namespace
